@@ -1,4 +1,4 @@
-.PHONY: all build test lint check bench bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
+.PHONY: all build test lint check bench perfbench-smoke bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
 
 all: build
 
@@ -21,6 +21,19 @@ check: lint
 
 bench:
 	dune exec bench/main.exe
+
+# Smoke-run the benchmark for one second per workload at the default
+# seed.  perfbench exits 0 even when a known answer fails, so the gate
+# is the "correct" field of the JSON object on its last line.
+perfbench-smoke:
+	dune build perfbench/main.exe
+	for w in nginx-tiered nginx-fs-monitor attack-replay; do \
+	  out=$$(dune exec --root . --display quiet perfbench/main.exe -- \
+	    --workload $$w --seed 0 --seconds 1 --trace 0) || exit 1; \
+	  last=$$(printf '%s\n' "$$out" | tail -n 1); \
+	  echo "$$w: $$last"; \
+	  case "$$last" in *'"correct": true'*) ;; *) echo "$$w: a known answer failed"; exit 1 ;; esac; \
+	done
 
 # The tiered-ablation artifact: off / prefilter-only / tiered on all
 # three workloads plus the per-attack tier split (EXPERIMENTS.md).

@@ -84,7 +84,7 @@ let read_string ?(max_len = 4096) (t : t) addr =
 
 let view_of_frame (t : t) (frame : Machine.frame) : frame_view =
   {
-    fv_func = frame.ffunc;
+    fv_func = Machine.frame_func frame;
     fv_callsite = frame.in_flight_callsite;
     fv_args = frame.in_flight_args;
     fv_ret_token = Machine.read_ret_addr t.machine frame;
@@ -129,7 +129,7 @@ let snapshot (t : t) ~(slot_span : string -> (int * int) option) : snapshot =
   let sn_slots =
     List.filter_map
       (fun (frame : Machine.frame) ->
-        match slot_span frame.ffunc with
+        match slot_span (Machine.frame_func frame) with
         | None -> None
         | Some (lo, hi) ->
           let n = hi - lo + 1 in

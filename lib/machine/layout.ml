@@ -5,7 +5,13 @@
    return addresses are plain words spilled to stack memory (corruptible,
    as on real hardware without CET), function pointers are code
    addresses, and BASTION's metadata can be keyed by callsite address
-   exactly as the paper keys it by binary offset. *)
+   exactly as the paper keys it by binary offset.
+
+   The layout is also the machine's decoded program: one [func_code]
+   record per function carries everything an interpreter step needs
+   (block records with their instruction addresses and terminator
+   targets, variable slot offsets, frame size), so a step does no name
+   lookup. *)
 
 type code_point =
   | Instr_at of Sil.Loc.t
@@ -19,67 +25,112 @@ let heap_base = 0x0070_0000L
 let shadow_base = 0x2000_0000L
 let stack_base = 0x7fff_0000L
 
-type t = {
-  prog : Sil.Prog.t;
-  addr_of_point : (code_point, int64) Hashtbl.t;
-  point_of_addr : (int64, code_point) Hashtbl.t;
-  func_entry : (string, int64) Hashtbl.t;
-  func_of_addr : (int64, string) Hashtbl.t;  (** every code addr -> function *)
-  global_addr : (string, int64) Hashtbl.t;
-  global_size : (string, int) Hashtbl.t;     (** words *)
-  rodata : (string, int64) Hashtbl.t;        (** interned strings *)
-  mutable rodata_next : int64;
-  (* Per-function variable slot offsets (in words from frame base) and
-     frame size in words. *)
-  var_offset : (string * int, int) Hashtbl.t;  (** (func, vid) -> offset *)
-  frame_words : (string, int) Hashtbl.t;
+type block_code = {
+  block : Sil.Func.block;
+  addrs : int64 array;
+  succs : int array;
 }
 
+type func_code = {
+  func : Sil.Func.t;
+  entry : int64;
+  frame_words : int;
+  var_offsets : int array;
+  blocks : block_code array;
+}
+
+type code_ref = { rfunc : func_code; rblock : block_code; rindex : int; rpoint : code_point }
+
+type t = {
+  prog : Sil.Prog.t;
+  code : (string, func_code) Hashtbl.t;
+  points : code_ref array;
+  global_addr : (string, int64) Hashtbl.t;
+  global_size : (string, int) Hashtbl.t;
+  rodata : (string, int64) Hashtbl.t;
+  mutable rodata_next : int64;
+}
+
+let block_index (blocks : Sil.Func.block list) label =
+  let rec go i = function
+    | [] -> -1
+    | (b : Sil.Func.block) :: rest -> if String.equal b.label label then i else go (i + 1) rest
+  in
+  go 0 blocks
+
+(* Lay out one function at [base]: one word per instruction and per
+   terminator, then slot offsets for params then locals. *)
+let func_code structs (f : Sil.Func.t) base =
+  let next = ref base in
+  let blocks =
+    Array.of_list
+      (List.map
+         (fun (b : Sil.Func.block) ->
+           let addrs =
+             Array.init (Array.length b.instrs + 1) (fun i ->
+                 Int64.add !next (Int64.of_int (8 * i)))
+           in
+           next := Int64.add !next (Int64.of_int (8 * Array.length addrs));
+           let succs =
+             match b.term with
+             | Jump l -> [| block_index f.blocks l |]
+             | Branch (_, l1, l2) -> [| block_index f.blocks l1; block_index f.blocks l2 |]
+             | Ret _ | Halt -> [||]
+           in
+           { block = b; addrs; succs })
+         f.blocks)
+  in
+  let vars = Sil.Func.all_vars f in
+  let max_vid = List.fold_left (fun m ((v : Sil.Operand.var), _) -> max m v.vid) (-1) vars in
+  let var_offsets = Array.make (max_vid + 1) (-1) in
+  let off = ref 0 in
+  List.iter
+    (fun ((v : Sil.Operand.var), ty) ->
+      if v.vid >= 0 then var_offsets.(v.vid) <- !off;
+      off := !off + max 1 (Sil.Types.size_words structs ty))
+    vars;
+  ({ func = f; entry = base; frame_words = !off; var_offsets; blocks }, !next)
+
 let build (prog : Sil.Prog.t) : t =
+  (* Code addresses: functions in deterministic order. *)
+  let code = Hashtbl.create 64 in
+  let next = ref code_base in
+  let funcs =
+    List.map
+      (fun (f : Sil.Func.t) ->
+        let fc, after = func_code prog.structs f !next in
+        Hashtbl.replace code f.fname fc;
+        next := after;
+        fc)
+      (Sil.Prog.functions prog)
+  in
+  let points =
+    List.concat_map
+      (fun fc ->
+        List.concat_map
+          (fun bc ->
+            let n = Array.length bc.block.instrs in
+            List.init (n + 1) (fun i ->
+                let rpoint =
+                  if i < n then Instr_at (Sil.Loc.make fc.func.fname bc.block.label i)
+                  else Term_of (fc.func.fname, bc.block.label)
+                in
+                { rfunc = fc; rblock = bc; rindex = i; rpoint }))
+          (Array.to_list fc.blocks))
+      funcs
+    |> Array.of_list
+  in
   let t =
     {
       prog;
-      addr_of_point = Hashtbl.create 1024;
-      point_of_addr = Hashtbl.create 1024;
-      func_entry = Hashtbl.create 64;
-      func_of_addr = Hashtbl.create 1024;
+      code;
+      points;
       global_addr = Hashtbl.create 64;
       global_size = Hashtbl.create 64;
       rodata = Hashtbl.create 64;
       rodata_next = rodata_base;
-      var_offset = Hashtbl.create 256;
-      frame_words = Hashtbl.create 64;
     }
   in
-  (* Code addresses: functions in deterministic order, one word per
-     instruction and per terminator. *)
-  let next = ref code_base in
-  let emit fname point =
-    let addr = !next in
-    Hashtbl.replace t.addr_of_point point addr;
-    Hashtbl.replace t.point_of_addr addr point;
-    Hashtbl.replace t.func_of_addr addr fname;
-    next := Int64.add !next 8L
-  in
-  List.iter
-    (fun (f : Sil.Func.t) ->
-      Hashtbl.replace t.func_entry f.fname !next;
-      List.iter
-        (fun (b : Sil.Func.block) ->
-          Array.iteri
-            (fun i _ -> emit f.fname (Instr_at (Sil.Loc.make f.fname b.label i)))
-            b.instrs;
-          emit f.fname (Term_of (f.fname, b.label)))
-        f.blocks;
-      (* Frame layout: slot offsets for params then locals. *)
-      let off = ref 0 in
-      List.iter
-        (fun ((v : Sil.Operand.var), ty) ->
-          Hashtbl.replace t.var_offset (f.fname, v.vid) !off;
-          off := !off + max 1 (Sil.Types.size_words prog.structs ty))
-        (Sil.Func.all_vars f);
-      Hashtbl.replace t.frame_words f.fname !off)
-    (Sil.Prog.functions prog);
   (* Globals. *)
   let gnext = ref data_base in
   List.iter
@@ -91,34 +142,63 @@ let build (prog : Sil.Prog.t) : t =
     prog.globals;
   t
 
+let find_code who t fname =
+  match Hashtbl.find t.code fname with
+  | c -> c
+  | exception Not_found -> invalid_arg (who ^ ": unknown function " ^ fname)
+
+let code t fname = find_code "Layout.code" t fname
+
+let code_at t addr =
+  let d = Int64.sub addr code_base in
+  if
+    Int64.compare d 0L >= 0
+    && Int64.equal (Int64.logand d 7L) 0L
+    && Int64.compare d (Int64.of_int (8 * Array.length t.points)) < 0
+  then Some t.points.(Int64.to_int d / 8)
+  else None
+
 let addr_of_point t point =
-  match Hashtbl.find_opt t.addr_of_point point with
-  | Some a -> a
-  | None -> invalid_arg "Layout.addr_of_point: unknown code point"
+  let unknown () = invalid_arg "Layout.addr_of_point: unknown code point" in
+  let func, label, index =
+    match point with
+    | Instr_at loc -> (loc.func, loc.block, loc.index)
+    | Term_of (func, label) -> (func, label, -1)
+  in
+  match Hashtbl.find_opt t.code func with
+  | None -> unknown ()
+  | Some fc ->
+    let b = block_index fc.func.blocks label in
+    if b < 0 then unknown ();
+    let bc = fc.blocks.(b) in
+    let n = Array.length bc.block.instrs in
+    if index < 0 then bc.addrs.(n)
+    else if index < n then bc.addrs.(index)
+    else unknown ()
 
 let addr_of_loc t loc = addr_of_point t (Instr_at loc)
 
-let point_of_addr t addr = Hashtbl.find_opt t.point_of_addr addr
+let point_of_addr t addr = Option.map (fun r -> r.rpoint) (code_at t addr)
 
-let func_entry t fname =
-  match Hashtbl.find_opt t.func_entry fname with
-  | Some a -> a
-  | None -> invalid_arg ("Layout.func_entry: unknown function " ^ fname)
+let func_entry t fname = (find_code "Layout.func_entry" t fname).entry
 
 (** The function a code address belongs to, if any. *)
-let func_of_addr t addr = Hashtbl.find_opt t.func_of_addr addr
+let func_of_addr t addr = Option.map (fun r -> r.rfunc.func.fname) (code_at t addr)
+
+let code_of_entry_addr t addr =
+  match code_at t addr with
+  | Some r when Int64.equal r.rfunc.entry addr -> Some r.rfunc
+  | Some _ | None -> None
 
 (** Resolve a code address used as a call target: it must be a function
     entry address. *)
 let func_of_entry_addr t addr =
-  match func_of_addr t addr with
-  | Some fname when Int64.equal (func_entry t fname) addr -> Some fname
-  | Some _ | None -> None
+  Option.map (fun fc -> fc.func.fname) (code_of_entry_addr t addr)
 
 let global_addr t gname =
-  match Hashtbl.find_opt t.global_addr gname with
-  | Some a -> a
-  | None -> invalid_arg ("Layout.global_addr: unknown global " ^ gname)
+  match Hashtbl.find t.global_addr gname with
+  | a -> a
+  | exception Not_found -> invalid_arg ("Layout.global_addr: unknown global " ^ gname)
 
 let global_words t gname =
   match Hashtbl.find_opt t.global_size gname with
@@ -127,22 +207,21 @@ let global_words t gname =
 
 (** Intern a string literal in rodata; idempotent per content. *)
 let intern_string t (mem : Memory.t) s =
-  match Hashtbl.find_opt t.rodata s with
-  | Some a -> a
-  | None ->
+  match Hashtbl.find t.rodata s with
+  | a -> a
+  | exception Not_found ->
     let addr = t.rodata_next in
     let words = Memory.write_string mem addr s in
     t.rodata_next <- Int64.add addr (Int64.of_int (8 * (words + 1)));
     Hashtbl.replace t.rodata s addr;
     addr
 
-let var_offset t fname vid =
-  match Hashtbl.find_opt t.var_offset (fname, vid) with
-  | Some o -> o
-  | None ->
-    invalid_arg (Printf.sprintf "Layout.var_offset: %s has no var #%d" fname vid)
+let slot fc vid = if vid >= 0 && vid < Array.length fc.var_offsets then fc.var_offsets.(vid) else -1
 
-let frame_words t fname =
-  match Hashtbl.find_opt t.frame_words fname with
-  | Some n -> n
-  | None -> invalid_arg ("Layout.frame_words: unknown function " ^ fname)
+let var_offset t fname vid =
+  let o = slot (find_code "Layout.var_offset" t fname) vid in
+  if o < 0 then
+    invalid_arg (Printf.sprintf "Layout.var_offset: %s has no var #%d" fname vid);
+  o
+
+let frame_words t fname = (find_code "Layout.frame_words" t fname).frame_words

@@ -4,7 +4,11 @@
     address, giving the machine a real instruction pointer: return
     addresses are plain words, function pointers are code addresses,
     and monitor metadata is keyed by callsite address exactly as the
-    paper keys it by binary offset. *)
+    paper keys it by binary offset.
+
+    [build] also decodes the program once: each function gets a
+    [func_code] record holding what an interpreter step needs, so the
+    machine resolves no names while it runs. *)
 
 type code_point =
   | Instr_at of Sil.Loc.t
@@ -20,21 +24,54 @@ val shadow_base : int64
 
 val stack_base : int64
 
+(** A block with its code addresses. *)
+type block_code = {
+  block : Sil.Func.block;
+  addrs : int64 array;
+      (** one address per instruction, then the terminator's (last) *)
+  succs : int array;
+      (** indices in [func_code.blocks] of the [Jump] target, or of the
+          [Branch] targets in order; [-1] for a label the function lacks *)
+}
+
+(** A function as the machine executes it. *)
+type func_code = {
+  func : Sil.Func.t;
+  entry : int64;
+  frame_words : int;  (** frame size in words (params + locals) *)
+  var_offsets : int array;
+      (** slot offset in words from the frame base, indexed by [vid];
+          [-1] where the function has no such variable *)
+  blocks : block_code array;  (** layout order; the entry block first *)
+}
+
+(** The position of a code address. [rindex] equals the block's
+    instruction count for the terminator. *)
+type code_ref = { rfunc : func_code; rblock : block_code; rindex : int; rpoint : code_point }
+
 type t = {
   prog : Sil.Prog.t;
-  addr_of_point : (code_point, int64) Hashtbl.t;
-  point_of_addr : (int64, code_point) Hashtbl.t;
-  func_entry : (string, int64) Hashtbl.t;
-  func_of_addr : (int64, string) Hashtbl.t;
+  code : (string, func_code) Hashtbl.t;
+  points : code_ref array;  (** by [(addr - code_base) / 8] *)
   global_addr : (string, int64) Hashtbl.t;
   global_size : (string, int) Hashtbl.t;
   rodata : (string, int64) Hashtbl.t;
   mutable rodata_next : int64;
-  var_offset : (string * int, int) Hashtbl.t;
-  frame_words : (string, int) Hashtbl.t;
 }
 
 val build : Sil.Prog.t -> t
+
+(** @raise Invalid_argument for unknown functions. *)
+val code : t -> string -> func_code
+
+(** The position of a code address, if it is one. *)
+val code_at : t -> int64 -> code_ref option
+
+(** The function whose entry address this is, if any. *)
+val code_of_entry_addr : t -> int64 -> func_code option
+
+(** [slot fc vid] is [fc]'s slot offset for [vid], or [-1] if it has none. *)
+val slot : func_code -> int -> int
 
 val addr_of_point : t -> code_point -> int64
 val addr_of_loc : t -> Sil.Loc.t -> int64

@@ -48,19 +48,28 @@ let fault_to_string = function
 
 type outcome = Exited of int64 | Faulted of fault
 
-type cursor = { cblock : string; cindex : int }
-
+(* A frame caches the code records of its current position: [fcode] is
+   the function, [fblock] a block of [fcode] and [findex] an index into
+   its instructions (the instruction count denotes the terminator).
+   Every transition that moves a frame to another block or function
+   ([enter], [goto], [pop_frame]) sets all three together. *)
 type frame = {
-  mutable ffunc : string;
+  mutable fcode : Layout.func_code;
+  mutable fblock : Layout.block_code;
+  mutable findex : int;
   frame_base : int64;
   ret_slot : int64;  (** address of this frame's return-address word; 0 for entry *)
   fdst : Sil.Operand.var option;  (** caller variable receiving the return value *)
-  mutable cursor : cursor;
   mutable in_flight_args : int64 array;
       (** evaluated arguments of the call this frame currently has in
           flight (the "argument registers" at that callsite) *)
   mutable in_flight_callsite : int64;  (** code address of that call instr *)
 }
+
+let frame_func (frame : frame) = frame.fcode.func.fname
+
+let frame_loc (frame : frame) =
+  Sil.Loc.make frame.fcode.func.fname frame.fblock.block.label frame.findex
 
 type stats = {
   mutable instrs : int;
@@ -148,48 +157,67 @@ let top_frame (t : t) =
   | f :: _ -> f
   | [] -> invalid_arg "Machine.top_frame: no frames"
 
-let var_addr_in (t : t) (frame : frame) (v : Sil.Operand.var) =
-  let off = Layout.var_offset t.layout frame.ffunc v.vid in
+let var_addr (frame : frame) (v : Sil.Operand.var) =
+  let off = Layout.slot frame.fcode v.vid in
+  if off < 0 then
+    invalid_arg
+      (Printf.sprintf "Layout.var_offset: %s has no var #%d" (frame_func frame) v.vid);
   Memory.addr_add frame.frame_base off
-
-let var_addr (t : t) v = var_addr_in t (top_frame t) v
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 
-let rec eval (t : t) (op : Sil.Operand.t) : int64 =
+let eval (t : t) (frame : frame) (op : Sil.Operand.t) : int64 =
   match op with
   | Const n -> n
   | Cstr s -> Layout.intern_string t.layout t.mem s
-  | Var v -> Memory.read t.mem (var_addr t v)
+  | Var v -> Memory.read t.mem (var_addr frame v)
   | Global g -> Memory.read t.mem (Layout.global_addr t.layout g)
   | Func_addr f -> Layout.func_entry t.layout f
   | Null -> 0L
 
-and place_addr (t : t) (p : Sil.Place.t) : int64 =
+let place_addr (t : t) (frame : frame) (p : Sil.Place.t) : int64 =
   match p with
-  | Lvar v -> var_addr t v
+  | Lvar v -> var_addr frame v
   | Lglobal g -> Layout.global_addr t.layout g
   | Lfield (base, sname, field) ->
-    let b = eval t base in
+    let b = eval t frame base in
     Memory.addr_add b (Sil.Types.field_offset t.prog.structs sname field)
   | Lindex (base, index, elem_ty) ->
-    let b = eval t base in
-    let i = Int64.to_int (eval t index) in
+    let b = eval t frame base in
+    let i = Int64.to_int (eval t frame index) in
     Memory.addr_add b (i * max 1 (Sil.Types.size_words t.prog.structs elem_ty))
-  | Lderef p -> eval t p
+  | Lderef p -> eval t frame p
 
-let eval_rvalue (t : t) (rv : Sil.Instr.rvalue) : int64 =
+let eval_rvalue (t : t) (frame : frame) (rv : Sil.Instr.rvalue) : int64 =
   match rv with
-  | Use op -> eval t op
-  | Load p -> Memory.read t.mem (place_addr t p)
-  | Addr_of p -> place_addr t p
-  | Binop (op, a, b) -> Sil.Instr.eval_binop op (eval t a) (eval t b)
+  | Use op -> eval t frame op
+  | Load p -> Memory.read t.mem (place_addr t frame p)
+  | Addr_of p -> place_addr t frame p
+  | Binop (op, a, b) -> Sil.Instr.eval_binop op (eval t frame a) (eval t frame b)
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
 
-let push_frame (t : t) ~(callee : Sil.Func.t) ~(args : int64 array)
+(* Allocate [code]'s frame below [t.sp] and make it the innermost. *)
+let enter (t : t) (code : Layout.func_code) ~ret_slot ~dst =
+  t.sp <- Int64.sub t.sp (Int64.of_int (8 * code.frame_words));
+  let frame =
+    {
+      fcode = code;
+      fblock = code.blocks.(0);
+      findex = 0;
+      frame_base = t.sp;
+      ret_slot;
+      fdst = dst;
+      in_flight_args = [||];
+      in_flight_callsite = 0L;
+    }
+  in
+  t.frames <- frame :: t.frames;
+  frame
+
+let push_frame (t : t) ~(callee : Layout.func_code) ~(args : int64 array)
     ~(ret_token : int64) ~(dst : Sil.Operand.var option) =
   t.sp <- Int64.sub t.sp 8L;
   let ret_slot = t.sp in
@@ -197,26 +225,15 @@ let push_frame (t : t) ~(callee : Sil.Func.t) ~(args : int64 array)
   (* The CET push rides the call micro-ops for free; only the
      return-side compare costs a cycle. *)
   if t.config.cet then Cet.Shadow_stack.push t.shadow_stack ret_token;
-  let words = Layout.frame_words t.layout callee.fname in
-  t.sp <- Int64.sub t.sp (Int64.of_int (8 * words));
-  let frame =
-    {
-      ffunc = callee.fname;
-      frame_base = t.sp;
-      ret_slot;
-      fdst = dst;
-      cursor = { cblock = (Sil.Func.entry_block callee).label; cindex = 0 };
-      in_flight_args = [||];
-      in_flight_callsite = 0L;
-    }
-  in
-  t.frames <- frame :: t.frames;
+  let frame = enter t callee ~ret_slot ~dst in
   (* Copy arguments into parameter slots. *)
-  List.iteri
-    (fun i ((v : Sil.Operand.var), _) ->
-      if i < Array.length args then
-        Memory.write t.mem (var_addr_in t frame v) args.(i))
-    callee.params
+  let rec copy i = function
+    | ((v : Sil.Operand.var), _) :: rest when i < Array.length args ->
+      Memory.write t.mem (var_addr frame v) args.(i);
+      copy (i + 1) rest
+    | _ -> ()
+  in
+  copy 0 callee.func.params
 
 exception Program_exit of int64
 
@@ -234,42 +251,25 @@ let pop_frame (t : t) (ret_val : int64) =
     end;
     t.frames <- rest;
     t.sp <- Int64.add frame.ret_slot 8L;
-    (match rest with
-    | caller :: _ -> (
-      (* Deliver the return value if the caller recorded a destination
-         (guarded: after a ROP redirect the frame may not match). *)
-      match frame.fdst with
-      | Some v -> (
-        try Memory.write t.mem (var_addr_in t caller v) ret_val
-        with Invalid_argument _ -> ())
-      | None -> ())
-    | [] -> ());
-    (* Transfer control to the (possibly corrupted) return token. *)
-    (match Layout.point_of_addr t.layout token with
-    | Some point -> (
+    (match (rest, frame.fdst) with
+    | caller :: _, Some v ->
+      (* Deliver the return value into the caller's current function,
+         before any pivot below; skip a vid that function lacks. *)
+      let off = Layout.slot caller.fcode v.vid in
+      if off >= 0 then Memory.write t.mem (Memory.addr_add caller.frame_base off) ret_val
+    | _ -> ());
+    (* Transfer control to the (possibly corrupted) return token.  A
+       token pointing into another function models a ROP pivot: the
+       gadget executes with the attacker-controlled stack. *)
+    match Layout.code_at t.layout token with
+    | Some r -> (
       match rest with
       | caller :: _ ->
-        (match point with
-        | Layout.Instr_at loc ->
-          (* A token pointing into another function models a ROP pivot:
-             the gadget executes with the attacker-controlled stack. *)
-          if not (String.equal loc.func caller.ffunc) then caller.ffunc <- loc.func;
-          caller.cursor <- { cblock = loc.block; cindex = loc.index }
-        | Layout.Term_of (fname, block) ->
-          if not (String.equal fname caller.ffunc) then caller.ffunc <- fname;
-          let f = Sil.Prog.find_func t.prog fname in
-          let b = Sil.Func.find_block f block in
-          caller.cursor <- { cblock = block; cindex = Array.length b.instrs })
+        caller.fcode <- r.rfunc;
+        caller.fblock <- r.rblock;
+        caller.findex <- r.rindex
       | [] -> raise (Program_exit ret_val))
-    | None -> raise (Killed (Bad_return_target { target = token })))
-
-(** The code address execution resumes at when the call at [loc] returns. *)
-let return_token (t : t) (f : Sil.Func.t) (cur : cursor) =
-  let block = Sil.Func.find_block f cur.cblock in
-  if cur.cindex + 1 < Array.length block.instrs then
-    Layout.addr_of_point t.layout
-      (Instr_at (Sil.Loc.make f.fname cur.cblock (cur.cindex + 1)))
-  else Layout.addr_of_point t.layout (Term_of (f.fname, cur.cblock))
+    | None -> raise (Killed (Bad_return_target { target = token }))
 
 (* ------------------------------------------------------------------ *)
 (* Built-in intrinsics                                                 *)
@@ -294,37 +294,53 @@ let run_intrinsic (t : t) name (args : int64 array) : int64 =
 (* ------------------------------------------------------------------ *)
 (* The interpreter                                                     *)
 
+(* Evaluate call arguments left to right (interning order matters). *)
+let eval_args (t : t) (frame : frame) (args : Sil.Operand.t list) =
+  match args with
+  | [] -> [||]
+  | _ ->
+    let argv = Array.make (List.length args) 0L in
+    let rec fill i = function
+      | [] -> ()
+      | a :: rest ->
+        argv.(i) <- eval t frame a;
+        fill (i + 1) rest
+    in
+    fill 0 args;
+    argv
+
 let exec_call (t : t) (frame : frame) ~dst ~(target : Sil.Instr.call_target)
     ~(args : Sil.Operand.t list) =
-  let loc = Sil.Loc.make frame.ffunc frame.cursor.cblock frame.cursor.cindex in
-  let argv = Array.of_list (List.map (eval t) args) in
-  let callsite_addr = Layout.addr_of_loc t.layout loc in
+  let argv = eval_args t frame args in
+  let callsite_addr = frame.fblock.addrs.(frame.findex) in
   t.abi_regs <- argv;
   t.trap_rip <- callsite_addr;
   frame.in_flight_args <- argv;
   frame.in_flight_callsite <- callsite_addr;
   t.stats.calls <- t.stats.calls + 1;
-  let callee_name =
+  let callee =
     match target with
-    | Direct f -> f
+    | Direct f -> Layout.code t.layout f
     | Indirect op ->
       t.stats.indirect_calls <- t.stats.indirect_calls + 1;
-      let addr = eval t op in
-      let resolved = Layout.func_of_entry_addr t.layout addr in
+      let addr = eval t frame op in
+      let resolved = Layout.code_of_entry_addr t.layout addr in
       (match t.on_indirect_call with
-      | Some h -> h t ~callsite:loc ~target:addr ~resolved
+      | Some h ->
+        h t ~callsite:(frame_loc frame) ~target:addr
+          ~resolved:(Option.map (fun (c : Layout.func_code) -> c.func.fname) resolved)
       | None -> ());
       (match resolved with
-      | Some f -> f
-      | None -> raise (Killed (Bad_indirect_target { callsite = loc; target = addr })))
+      | Some c -> c
+      | None ->
+        raise (Killed (Bad_indirect_target { callsite = frame_loc frame; target = addr })))
   in
-  let callee = Sil.Prog.find_func t.prog callee_name in
   (* Intrinsics are inlined runtime-library snippets: they cost their
      body, not a call.  Real calls and syscalls pay the call overhead. *)
-  (match callee.kind with
+  (match callee.func.kind with
   | Intrinsic _ -> ()
   | App_code | Syscall_stub _ -> charge t t.config.cost.call);
-  match callee.kind with
+  match callee.func.kind with
   | Syscall_stub sysno ->
     t.stats.syscalls <- t.stats.syscalls + 1;
     let result =
@@ -332,76 +348,68 @@ let exec_call (t : t) (frame : frame) ~dst ~(target : Sil.Instr.call_target)
       | Some h -> h t ~sysno ~args:argv
       | None -> 0L
     in
-    (match dst with Some v -> Memory.write t.mem (var_addr_in t frame v) result | None -> ());
-    frame.cursor <- { frame.cursor with cindex = frame.cursor.cindex + 1 }
+    (match dst with Some v -> Memory.write t.mem (var_addr frame v) result | None -> ());
+    frame.findex <- frame.findex + 1
   | Intrinsic name ->
     charge t t.config.cost.intrinsic;
     let result = run_intrinsic t name argv in
-    (match dst with Some v -> Memory.write t.mem (var_addr_in t frame v) result | None -> ());
-    frame.cursor <- { frame.cursor with cindex = frame.cursor.cindex + 1 }
+    (match dst with Some v -> Memory.write t.mem (var_addr frame v) result | None -> ());
+    frame.findex <- frame.findex + 1
   | App_code ->
-    let f = Sil.Prog.find_func t.prog frame.ffunc in
-    let token = return_token t f frame.cursor in
-    (* Advance the caller past the call before pushing, so the cursor is
-       correct if the callee is re-entered recursively. *)
-    frame.cursor <- { frame.cursor with cindex = frame.cursor.cindex + 1 };
+    (* The return token is the address after the call: the next
+       instruction, or the block's terminator.  Advance the caller past
+       the call before pushing, so its position is correct if the callee
+       is re-entered recursively. *)
+    let token = frame.fblock.addrs.(frame.findex + 1) in
+    frame.findex <- frame.findex + 1;
     push_frame t ~callee ~args:argv ~ret_token:token ~dst
+
+(* Move [frame] to the [k]th block of its function. *)
+let goto (frame : frame) k label =
+  if k < 0 then
+    invalid_arg (Printf.sprintf "Machine: %s has no block %s" (frame_func frame) label);
+  frame.fblock <- frame.fcode.blocks.(k);
+  frame.findex <- 0
 
 let exec_terminator (t : t) (frame : frame) (term : Sil.Instr.terminator) =
   match term with
-  | Jump l -> frame.cursor <- { cblock = l; cindex = 0 }
+  | Jump l -> goto frame frame.fblock.succs.(0) l
   | Branch (cond, l1, l2) ->
-    let c = eval t cond in
+    let c = eval t frame cond in
     charge t t.config.cost.instr;
-    frame.cursor <- { cblock = (if not (Int64.equal c 0L) then l1 else l2); cindex = 0 }
+    if not (Int64.equal c 0L) then goto frame frame.fblock.succs.(0) l1
+    else goto frame frame.fblock.succs.(1) l2
   | Ret op ->
-    let v = match op with Some op -> eval t op | None -> 0L in
+    let v = match op with Some op -> eval t frame op | None -> 0L in
     pop_frame t v
   | Halt -> raise (Program_exit 0L)
 
 let step (t : t) =
   let frame = top_frame t in
-  let f = Sil.Prog.find_func t.prog frame.ffunc in
-  let block = Sil.Func.find_block f frame.cursor.cblock in
-  if frame.cursor.cindex >= Array.length block.instrs then
-    exec_terminator t frame block.term
+  let instrs = frame.fblock.block.instrs in
+  let i = frame.findex in
+  if i >= Array.length instrs then exec_terminator t frame frame.fblock.block.term
   else begin
-    let loc = Sil.Loc.make frame.ffunc frame.cursor.cblock frame.cursor.cindex in
-    (match t.on_instr with Some h -> h t loc | None -> ());
-    let ins = block.instrs.(frame.cursor.cindex) in
+    (match t.on_instr with Some h -> h t (frame_loc frame) | None -> ());
     t.stats.instrs <- t.stats.instrs + 1;
-    match ins with
+    match instrs.(i) with
     | Assign (v, rv) ->
       charge t t.config.cost.instr;
-      Memory.write t.mem (var_addr t v) (eval_rvalue t rv);
-      frame.cursor <- { frame.cursor with cindex = frame.cursor.cindex + 1 }
+      Memory.write t.mem (var_addr frame v) (eval_rvalue t frame rv);
+      frame.findex <- i + 1
     | Store (p, op) ->
       charge t t.config.cost.instr;
-      Memory.write t.mem (place_addr t p) (eval t op);
-      frame.cursor <- { frame.cursor with cindex = frame.cursor.cindex + 1 }
+      Memory.write t.mem (place_addr t frame p) (eval t frame op);
+      frame.findex <- i + 1
     | Call { dst; target; args } -> exec_call t frame ~dst ~target ~args
   end
 
 (** Run the program from its entry point to completion. *)
 let run (t : t) : outcome =
-  let entry = Sil.Prog.find_func t.prog t.prog.entry in
+  let entry = Layout.code t.layout t.prog.entry in
   t.sp <- Layout.stack_base;
   t.frames <- [];
-  t.frames <-
-    [
-      {
-        ffunc = entry.fname;
-        frame_base =
-          (let words = Layout.frame_words t.layout entry.fname in
-           t.sp <- Int64.sub t.sp (Int64.of_int (8 * words));
-           t.sp);
-        ret_slot = 0L;
-        fdst = None;
-        cursor = { cblock = (Sil.Func.entry_block entry).label; cindex = 0 };
-        in_flight_args = [||];
-        in_flight_callsite = 0L;
-      };
-    ];
+  ignore (enter t entry ~ret_slot:0L ~dst:None);
   let budget = ref t.config.fuel in
   try
     let rec loop () =
@@ -443,15 +451,14 @@ let local_address (t : t) ~func ~var =
   let rec find = function
     | [] -> None
     | (f : frame) :: rest ->
-      if String.equal f.ffunc func then
-        let fn = Sil.Prog.find_func t.prog func in
+      if String.equal (frame_func f) func then
         let v =
           List.find_opt
             (fun ((v : Sil.Operand.var), _) -> String.equal v.vname var)
-            (Sil.Func.all_vars fn)
+            (Sil.Func.all_vars f.fcode.func)
         in
         match v with
-        | Some (v, _) -> Some (var_addr_in t f v)
+        | Some (v, _) -> Some (var_addr f v)
         | None -> find rest
       else find rest
   in

@@ -33,22 +33,29 @@ val fault_to_string : fault -> string
 
 type outcome = Exited of int64 | Faulted of fault
 
-(** Execution position within a frame ([cindex] may equal the block's
-    instruction count, denoting the terminator). *)
-type cursor = { cblock : string; cindex : int }
-
-(** A live stack frame.  [ffunc] is mutable because a corrupted return
-    token pivots the frame to another function (ROP semantics). *)
-type frame = {
-  mutable ffunc : string;
+(** A live stack frame.  Its position is [findex] within block [fblock]
+    of function [fcode] ([findex] equal to the block's instruction count
+    denotes the terminator).  The function changes when a corrupted
+    return token pivots the frame into another function (ROP
+    semantics).  The record is private: the machine moves all three
+    fields together. *)
+type frame = private {
+  mutable fcode : Layout.func_code;
+  mutable fblock : Layout.block_code;
+  mutable findex : int;
   frame_base : int64;
   ret_slot : int64;  (** address of the return-address word; 0 for entry *)
   fdst : Sil.Operand.var option;
-  mutable cursor : cursor;
   mutable in_flight_args : int64 array;
       (** evaluated arguments of the call this frame has in flight *)
   mutable in_flight_callsite : int64;
 }
+
+(** Name of the function a frame is executing. *)
+val frame_func : frame -> string
+
+(** The frame's current position as a location. *)
+val frame_loc : frame -> Sil.Loc.t
 
 type stats = {
   mutable instrs : int;

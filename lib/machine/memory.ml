@@ -6,15 +6,27 @@
    the NEWTON-style attacks — lets out-of-bounds array indexing read
    whatever happens to live at the computed address. *)
 
-type t = { cells : (int64, int64) Hashtbl.t }
+(* Every byte address is its own cell, so an unaligned address never
+   aliases its aligned neighbour.  Addresses are mostly word-aligned and
+   clustered in a few regions, so the hash multiplies and folds the high
+   bits down: the table indexes buckets by the low bits. *)
+module Cells = Hashtbl.Make (struct
+  type t = int64
 
-let create () = { cells = Hashtbl.create 4096 }
+  let equal = Int64.equal
 
-let read t addr = Option.value ~default:0L (Hashtbl.find_opt t.cells addr)
+  let hash a =
+    let x = Int64.to_int a * 0x1F1B_BCDC_BFA5_3E0B in
+    x lxor (x lsr 31)
+end)
 
-let write t addr v =
-  if Int64.equal v 0L then Hashtbl.remove t.cells addr
-  else Hashtbl.replace t.cells addr v
+type t = int64 Cells.t
+
+let create () = Cells.create 4096
+
+let read t addr = match Cells.find t addr with v -> v | exception Not_found -> 0L
+
+let write t addr v = if Int64.equal v 0L then Cells.remove t addr else Cells.replace t addr v
 
 let word = 8L
 
@@ -48,4 +60,4 @@ let write_string t addr s =
   write t (addr_add addr (String.length s)) 0L;
   String.length s + 1
 
-let mapped_words t = Hashtbl.length t.cells
+let mapped_words t = Cells.length t

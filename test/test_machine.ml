@@ -212,53 +212,143 @@ let test_heap_alloc () =
 (* Return-address corruption transfers control for real (the ROP
    substrate), and CET catches exactly that. *)
 let test_ret_token_semantics () =
-  let build () =
+  let ghost = { Sil.Operand.vid = 7; vname = "ghost" } in
+  (* [dst] picks where main keeps victim's return value: its own local
+     [r] (vid 2), or [ghost], a vid that neither main nor any gadget
+     declares. *)
+  let build dst =
     let pb = B.program () in
     Kernel.Syscalls.declare_stubs pb;
-    B.global pb "g_out" i64 Sil.Prog.Zero;
+    List.iter
+      (fun g -> B.global pb g i64 Sil.Prog.Zero)
+      [ "g_out"; "g_skipped"; "g_mid"; "g_tail" ];
     let fb = B.func pb "target" ~params:[] in
     B.store fb (Sil.Place.Lglobal "g_out") (const 777);
     B.call fb "exit" [ const 7 ];
     B.ret fb None;
     B.seal fb;
+    (* A pivot to body:1 skips the entry block and body's first store. *)
+    let fb = B.func pb "mid_gadget" ~params:[] in
+    B.store fb (Sil.Place.Lglobal "g_skipped") (const 1);
+    B.block fb "body";
+    B.store fb (Sil.Place.Lglobal "g_skipped") (const 2);
+    B.store fb (Sil.Place.Lglobal "g_mid") (const 33);
+    B.call fb "exit" [ const 8 ];
+    B.ret fb None;
+    B.seal fb;
+    (* A pivot to the entry block's terminator runs only its jump, which
+       must resolve among term_gadget's blocks, not the caller's. *)
+    let fb = B.func pb "term_gadget" ~params:[] in
+    B.store fb (Sil.Place.Lglobal "g_skipped") (const 3);
+    B.jump fb "tail";
+    B.block fb "tail";
+    B.store fb (Sil.Place.Lglobal "g_tail") (const 44);
+    B.call fb "exit" [ const 9 ];
+    B.ret fb None;
+    B.seal fb;
     let fb = B.func pb "victim" ~params:[ ("x", i64) ] in
     let y = B.local fb "y" i64 in
-    B.binop fb y Sil.Instr.Add (Var (B.param fb 0)) (const 1);
+    B.binop fb y Sil.Instr.Add (Var (B.param fb 0)) (const 0x5EEC);
     B.ret fb (Some (Var y));
     B.seal fb;
     let fb = B.func pb "main" ~params:[] in
-    B.call fb "victim" [ const 1 ];
+    let a = B.local fb "a" i64 in
+    let b = B.local fb "b" i64 in
+    let r = B.local fb "r" i64 in
+    B.set fb a (const 10);
+    B.set fb b (const 20);
+    B.call fb ~dst:(match dst with `R -> r | `Ghost -> ghost) "victim" [ const 1 ];
     B.halt fb;
     B.seal fb;
     B.build pb ~entry:"main"
   in
-  let run cet =
-    let machine = Machine.create ~config:{ Machine.default_config with cet } (build ()) in
+  (* Run with victim's return token replaced by [token m]; also returns
+     main's frame words as they stand at exit. *)
+  let run ?(cet = false) ?(dst = `R) token =
+    let machine = Machine.create ~config:{ Machine.default_config with cet } (build dst) in
     ignore (Kernel.boot machine);
-    let fired = ref false in
+    let main_frame = ref None in
     machine.on_instr <-
       Some
         (fun m (loc : Sil.Loc.t) ->
-          if (not !fired) && String.equal loc.func "victim" then begin
-            fired := true;
+          if Option.is_none !main_frame && String.equal loc.func "victim" then
             match Machine.frames m with
-            | frame :: _ ->
-              Machine.poke m frame.ret_slot
-                (Machine.instr_address m (Sil.Loc.make "target" "entry" 0))
-            | [] -> ()
-          end);
-    (machine, Machine.run machine)
+            | frame :: caller :: _ ->
+              main_frame := Some caller;
+              Machine.poke m frame.ret_slot (token m)
+            | _ -> ());
+    let outcome = Machine.run machine in
+    let words =
+      match !main_frame with
+      | Some f ->
+        Machine.Memory.read_block machine.mem f.frame_base
+          (Machine.Layout.frame_words machine.layout "main")
+      | None -> Alcotest.fail "victim never ran"
+    in
+    (machine, outcome, words)
   in
+  let global m g = Machine.peek m (Machine.global_address m g) in
+  let check_exit name code outcome =
+    match outcome with
+    | Machine.Exited c -> Alcotest.(check int64) (name ^ ": exit code") code c
+    | Machine.Faulted f -> Alcotest.failf "%s: unexpected fault %s" name (Machine.fault_to_string f)
+  in
+  let at func block i m = Machine.instr_address m (Sil.Loc.make func block i) in
   (* Without CET the hijack lands in target(). *)
-  let machine, outcome = run false in
-  (match outcome with
-  | Machine.Exited code -> Alcotest.(check int64) "exited via gadget" 7L code
-  | Machine.Faulted f -> Alcotest.failf "unexpected fault %s" (Machine.fault_to_string f));
-  Alcotest.(check int64) "gadget executed" 777L
-    (Machine.peek machine (Machine.global_address machine "g_out"));
+  let machine, outcome, _ = run (at "target" "entry" 0) in
+  check_exit "entry pivot" 7L outcome;
+  Alcotest.(check int64) "gadget executed" 777L (global machine "g_out");
   (* With CET the return is checked. *)
-  let _, outcome = run true in
-  Testlib.check_fault outcome Testlib.is_cet_violation "cet"
+  let _, outcome, _ = run ~cet:true (at "target" "entry" 0) in
+  Testlib.check_fault outcome Testlib.is_cet_violation "cet";
+  (* Partway through a non-entry block of another function. *)
+  let machine, outcome, _ = run (at "mid_gadget" "body" 1) in
+  check_exit "mid-block pivot" 8L outcome;
+  Alcotest.(check int64) "resumed at body:1" 33L (global machine "g_mid");
+  Alcotest.(check int64) "earlier stores skipped" 0L (global machine "g_skipped");
+  (* Another function's terminator address. *)
+  let machine, outcome, _ =
+    run (fun m ->
+        Machine.Layout.addr_of_point m.layout (Machine.Layout.Term_of ("term_gadget", "entry")))
+  in
+  check_exit "terminator pivot" 9L outcome;
+  Alcotest.(check int64) "jump resolved in the gadget" 44L (global machine "g_tail");
+  Alcotest.(check int64) "entry body skipped" 0L (global machine "g_skipped");
+  (* Words that are not code addresses. *)
+  List.iter
+    (fun (name, token) ->
+      let m, outcome, _ = run token in
+      match outcome with
+      | Machine.Faulted (Machine.Bad_return_target { target }) ->
+        Alcotest.(check int64) (name ^ ": faulting target") (token m) target
+      | Machine.Faulted f -> Alcotest.failf "%s: unexpected fault %s" name (Machine.fault_to_string f)
+      | Machine.Exited _ -> Alcotest.failf "%s: returned to a non-code word" name)
+    [
+      ("data word", fun _ -> 0x1234L);
+      ("unaligned code", fun m -> Int64.add (Machine.function_address m "target") 4L);
+      ("bit 63", fun _ -> Int64.min_int);
+      ( "past the code",
+        fun m ->
+          Int64.add Machine.Layout.code_base
+            (Int64.of_int (8 * Array.length m.layout.points)) );
+    ];
+  (* The return value is delivered before the pivot, into the function
+     that issued the call: main's [r], which target lacks. *)
+  let machine, outcome, words = run (at "target" "entry" 0) in
+  check_exit "pivot with dst" 7L outcome;
+  let r_off = Machine.Layout.var_offset machine.layout "main" 2 in
+  Array.iteri
+    (fun i w ->
+      Alcotest.(check int64) (Printf.sprintf "main word %d" i)
+        (if i = r_off then 0x5EEDL else if i = 0 then 10L else if i = 1 then 20L else 0L)
+        w)
+    words;
+  (* A dst vid that neither main nor the pivot target has: the write is
+     skipped, with no exception and no slot of the frame written. *)
+  let machine, outcome, words = run ~dst:`Ghost (at "target" "entry" 0) in
+  check_exit "pivot with a ghost dst" 7L outcome;
+  Alcotest.(check int64) "gadget executed" 777L (global machine "g_out");
+  Alcotest.(check (array int64)) "main frame untouched" [| 10L; 20L; 0L |] words
 
 let test_cost_accounting () =
   let run_cycles io =

@@ -99,6 +99,99 @@ let prop_memory_roundtrip =
         (fun addr v acc -> acc && Int64.equal (Machine.Memory.read mem addr) v)
         model true)
 
+(* Memory against the representation it replaced, kept here as the
+   oracle: a polymorphic (int64, int64) Hashtbl in which zero means
+   unmapped.  Addresses cluster around a few bases so reads hit earlier
+   writes, and cover unaligned offsets, bit 63 and the top word. *)
+type mem_op =
+  | Write of int64 * int64
+  | Write_string of int64 * string
+  | Read of int64
+  | Read_block of int64 * int
+  | Read_string of int64
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (1, return 0xFFFF_FFFF_FFFF_FFF8L);
+        ( 6,
+          map2 Int64.add
+            (oneofl
+               [ 0x1000L; 0x7ffe_fff0L; Int64.min_int; 0x8000_0000_0000_1000L;
+                 0xFFFF_FFFF_FFFF_FFD0L ])
+            (map Int64.of_int (int_range 0 47)) );
+      ]
+  in
+  let word =
+    oneof
+      [
+        return 0L;
+        return Int64.min_int;
+        map (fun n -> Int64.logor 0x4000_0000_0000_0000L (Int64.of_int n)) small_nat;
+        map Int64.of_int (int_range 1 126);
+        int64;
+      ]
+  in
+  frequency
+    [
+      (5, map2 (fun a v -> Write (a, v)) addr word);
+      (1, map2 (fun a s -> Write_string (a, s)) addr (string_size ~gen:printable (int_range 0 5)));
+      (3, map (fun a -> Read a) addr);
+      (1, map2 (fun a n -> Read_block (a, n)) addr (int_range 0 6));
+      (1, map (fun a -> Read_string a) addr);
+    ]
+
+let show_mem_op = function
+  | Write (a, v) -> Printf.sprintf "write %Lx %Lx" a v
+  | Write_string (a, s) -> Printf.sprintf "write_string %Lx %S" a s
+  | Read a -> Printf.sprintf "read %Lx" a
+  | Read_block (a, n) -> Printf.sprintf "read_block %Lx %d" a n
+  | Read_string a -> Printf.sprintf "read_string %Lx" a
+
+let prop_memory_model =
+  QCheck.Test.make ~count:300 ~name:"memory agrees with the boxed-hashtable model"
+    QCheck.(make ~print:(Print.list show_mem_op) Gen.(list_size (int_range 0 80) gen_mem_op))
+    (fun ops ->
+      let mem = Machine.Memory.create () in
+      let model : (int64, int64) Hashtbl.t = Hashtbl.create 16 in
+      let mread a = Option.value ~default:0L (Hashtbl.find_opt model a) in
+      let mwrite a v = if Int64.equal v 0L then Hashtbl.remove model a else Hashtbl.replace model a v in
+      let at a i = Int64.add a (Int64.of_int (8 * i)) in
+      let mread_string a =
+        let buf = Buffer.create 8 in
+        let rec go i =
+          let c = mread (at a i) in
+          if i < 4096 && not (Int64.equal c 0L) then begin
+            Buffer.add_char buf (Char.chr (Int64.to_int c land 0xff));
+            go (i + 1)
+          end
+        in
+        go 0;
+        Buffer.contents buf
+      in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Write (a, v) ->
+              Machine.Memory.write mem a v;
+              mwrite a v;
+              true
+            | Write_string (a, s) ->
+              let n = Machine.Memory.write_string mem a s in
+              String.iteri (fun i c -> mwrite (at a i) (Int64.of_int (Char.code c))) s;
+              mwrite (at a (String.length s)) 0L;
+              n = String.length s + 1
+            | Read a -> Int64.equal (Machine.Memory.read mem a) (mread a)
+            | Read_block (a, n) -> Machine.Memory.read_block mem a n = Array.init n (fun i -> mread (at a i))
+            | Read_string a -> String.equal (Machine.Memory.read_string mem a) (mread_string a)
+          in
+          agrees && Machine.Memory.mapped_words mem = Hashtbl.length model)
+        ops
+      && Hashtbl.fold (fun a v acc -> acc && Int64.equal (Machine.Memory.read mem a) v) model true)
+
 let printable_string =
   QCheck.string_gen_of_size (QCheck.Gen.int_range 0 60)
     (QCheck.Gen.char_range '\032' '\126')
@@ -214,6 +307,7 @@ let suites =
           prop_binding_key_injective;
           prop_binding_keys_disjoint;
           prop_memory_roundtrip;
+          prop_memory_model;
           prop_string_roundtrip;
           prop_binop_comparisons;
           prop_binop_algebra;
