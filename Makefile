@@ -69,13 +69,20 @@ golden:
 	dune exec bin/bastion_cli.exe -- attack --id rop-mprotect-sqlite-1 --config full --audit test/golden/sqlite-attack.jsonl
 	dune exec bin/bastion_cli.exe -- attack --id rop-exec-daemon --config full --audit test/golden/vsftpd-attack.jsonl
 
-# Replay every checked-in golden trace strictly; exits non-zero on any
-# divergence (the offline re-verification gate).
+# Replay every checked-in golden trace strictly and write one JSON
+# divergence report per trace to replay-reports/ (the offline
+# re-verification gate).  Every trace runs; the target exits non-zero
+# afterwards if any of them diverged.
 replay-golden:
 	dune build bin/bastion_cli.exe
+	mkdir -p replay-reports
+	status=0; \
 	for t in test/golden/*.jsonl; do \
-	  dune exec bin/bastion_cli.exe -- replay $$t --strict || exit 1; \
-	done
+	  name=$$(basename "$$t" .jsonl); \
+	  dune exec bin/bastion_cli.exe -- replay "$$t" --strict \
+	    --json "replay-reports/$$name.json" || status=1; \
+	done; \
+	exit $$status
 
 # Differentially replay the whole golden corpus against the in-tree
 # compile pass: the regression oracle.  Exits non-zero on any verdict

@@ -378,7 +378,8 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
          ring would break the trace's seq contiguity and the replay
          reader would reject the file. *)
       let ring_capacity =
-        if audit <> None then 1 lsl 21 else Obs.Recorder.default_ring_capacity
+        if audit <> None then Bastion_replay.Engine.recording_ring_capacity
+        else Obs.Recorder.default_ring_capacity
       in
       Some (Obs.Recorder.create ~tracing ~metrics ~ring_capacity ())
     else None
@@ -437,8 +438,8 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
          full monitor%s\n"
         resolved fallthroughs
         (if kills > 0 then Printf.sprintf ", %d killed" kills else ""));
-  (match recorder with
-  | None -> ()
+  match recorder with
+  | None -> `Ok ()
   | Some r ->
     (match trace with
     | Some path ->
@@ -448,34 +449,21 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
         (let d = Obs.Recorder.events_dropped r in
          if d > 0 then Printf.sprintf ", %d dropped" d else "")
     | None -> ());
-    (match audit with
-    | Some path ->
-      let header =
-        {
-          Bastion_replay.Trace.h_version = Bastion_replay.Trace.current_version;
-          h_kind =
-            Bastion_replay.Trace.Run
-              { app; defense = Bastion_replay.Engine.defense_key defense; scale };
-          h_trap_cache = trap_cache;
-          h_pre_resolve = pre_resolve;
-          h_prefilter = prefilter;
-          h_fingerprint =
-            (match m.m_monitor with
-            | Some mon -> Bastion.Metadata.fingerprint mon.Bastion.Monitor.meta
-            | None -> "-");
-          h_against = None;
-          h_traps = List.length (Obs.Recorder.trap_events r);
-          h_cycles = m.m_cycles;
-        }
-      in
-      let dropped = Obs.Recorder.events_dropped r in
-      if dropped > 0 then
-        Logs.warn (fun f ->
-            f "audit ring dropped %d events; %s will not replay" dropped path);
-      Obs.Recorder.write_jsonl
-        ~header:(Bastion_replay.Trace.header_to_json header) r path;
-      Printf.printf "  audit log : %s (%d traps)\n" path header.h_traps
-    | None -> ());
+    (* The audit trace fails closed: a recorder that dropped events
+       would write a trace the replay reader rejects. *)
+    let audited =
+      match audit with
+      | None -> `Ok ()
+      | Some path -> (
+        match
+          Bastion_replay.Engine.write_run_trace ~recorder:r ~trap_cache
+            ~pre_resolve ~prefilter ~app ~scale ~path m
+        with
+        | header ->
+          Printf.printf "  audit log : %s (%d traps)\n" path header.h_traps;
+          `Ok ()
+        | exception Failure msg -> `Error (false, msg))
+    in
     (match stats_interval with
     | Some interval ->
       let rows =
@@ -494,8 +482,8 @@ let run_workload verbose app scale defense no_trap_cache pre_resolve
         Printf.printf "  stats     : %s (%d rows)\n" path (List.length rows)
       | None -> print_string (Obs.Timeseries.render rows))
     | None -> ());
-    if metrics then print_string (Obs.Recorder.summary_table r));
-  `Ok ()
+    if metrics then print_string (Obs.Recorder.summary_table r);
+    audited
   end
 
 let scale_arg =

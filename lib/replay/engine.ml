@@ -4,15 +4,17 @@
    The monitor's verdict is a pure function of the deployed metadata
    and the per-trap snapshot, and the machine model is deterministic.
    Replay therefore re-executes the recorded configuration from
-   scratch — same program, same protect bundle, same monitor knobs —
-   but swaps the monitor's trap source so that every register file and
-   stack snapshot is *injected from the trace* (charging identical
-   modelled costs via [Ptrace.inject_*]) instead of read from the
-   tracee.  The monitor re-judges each trap on its real verification
-   path; a wrapped tracer hook compares the fresh event against the
-   recorded one and then returns the *recorded* verdict, so control
-   flow always follows the recorded run and one corrupted record
-   cannot derail the comparison of everything after it. *)
+   scratch — same program, same monitor knobs — but swaps the
+   monitor's trap source so that every register file and stack
+   snapshot is *injected from the trace* (charging identical modelled
+   costs via [Ptrace.inject_*]) instead of read from the tracee.  The
+   monitor re-judges each trap on its real verification path; a
+   wrapped tracer hook aligns the fresh event with a recorded one,
+   logs the pair and then returns the *recorded* verdict, so control
+   flow follows the recorded run.  One re-execution answers both
+   questions: strict [replay] ("is this stream unchanged?") and
+   [diff_replay] ("what moved?") are two pure reports over the same
+   log. *)
 
 module Drivers = Workloads.Drivers
 module Runner = Attacks.Runner
@@ -25,18 +27,12 @@ module Ptrace = Kernel.Ptrace
    always build the same run. *)
 
 let defense_table =
-  [
-    ("vanilla", Drivers.Vanilla);
-    ("cfi", Drivers.Llvm_cfi);
-    ("cet", Drivers.Cet_only);
-    ("ct", Drivers.Bastion_ct);
-    ("ct-cf", Drivers.Bastion_ct_cf);
-    ("full", Drivers.Bastion_full);
+  [ ("vanilla", Drivers.Vanilla); ("cfi", Drivers.Llvm_cfi); ("cet", Drivers.Cet_only);
+    ("ct", Drivers.Bastion_ct); ("ct-cf", Drivers.Bastion_ct_cf); ("full", Drivers.Bastion_full);
     ("fs-off", Drivers.Bastion_fs Bastion.Monitor.Fs_off);
     ("fs-hook", Drivers.Bastion_fs Bastion.Monitor.Fs_hook_only);
     ("fs-fetch", Drivers.Bastion_fs Bastion.Monitor.Fs_fetch_only);
-    ("fs-full", Drivers.Bastion_fs Bastion.Monitor.Fs_full);
-  ]
+    ("fs-full", Drivers.Bastion_fs Bastion.Monitor.Fs_full) ]
 
 let defense_key (d : Drivers.defense) : string =
   fst (List.find (fun (_, d') -> d' = d) defense_table)
@@ -45,13 +41,8 @@ let defense_of_key key =
   Option.map snd (List.find_opt (fun (k, _) -> String.equal k key) defense_table)
 
 let config_table =
-  [
-    ("none", Runner.Undefended);
-    ("ct", Runner.Only_ct);
-    ("cf", Runner.Only_cf);
-    ("ai", Runner.Only_ai);
-    ("full", Runner.Full_bastion);
-  ]
+  [ ("none", Runner.Undefended); ("ct", Runner.Only_ct); ("cf", Runner.Only_cf);
+    ("ai", Runner.Only_ai); ("full", Runner.Full_bastion) ]
 
 let config_key (c : Runner.config) : string =
   fst (List.find (fun (_, c') -> c' = c) config_table)
@@ -94,6 +85,21 @@ let attack_of ~id : (Attacks.Attack.t, string) result =
 
 let malformed ~file msg = raise (Trace.Malformed { file; line = 1; msg })
 
+(* The one resolver from header keys to runnable values: recording,
+   replay and [base_bundle] all go through it, and an unknown key is a
+   line-1 error against [file]. *)
+let resolve_run ~file ~app ~scale ~defense : Drivers.app * Drivers.defense =
+  let a = match app_of ~name:app ~scale with Ok a -> a | Error msg -> malformed ~file msg in
+  match defense_of_key defense with
+  | Some d -> (a, d)
+  | None -> malformed ~file (Printf.sprintf "unknown defense %S" defense)
+
+let resolve_attack ~file ~attack_id ~config : Attacks.Attack.t * Runner.config =
+  let a = match attack_of ~id:attack_id with Ok a -> a | Error msg -> malformed ~file msg in
+  match config_of_key config with
+  | Some c -> (a, c)
+  | None -> malformed ~file (Printf.sprintf "unknown attack config %S" config)
+
 let fingerprint_of (mon : Bastion.Monitor.t) =
   Bastion.Metadata.fingerprint mon.Bastion.Monitor.meta
 
@@ -106,7 +112,11 @@ let fingerprint_of (mon : Bastion.Monitor.t) =
    reject the file). *)
 let recording_ring_capacity = 1 lsl 21
 
-let write_trace ~recorder ~header ~path =
+(* The one header builder: every recorded trace gets its header here,
+   and a recorder that dropped events is refused rather than written as
+   a trace the reader would later reject. *)
+let write_trace ~recorder ~path ~kind ~trap_cache ~pre_resolve ~prefilter
+    ~fingerprint ~cycles : Trace.header =
   let dropped = Obs.Recorder.events_dropped recorder in
   if dropped > 0 then
     failwith
@@ -114,36 +124,33 @@ let write_trace ~recorder ~header ~path =
          "recording dropped %d events (ring too small); refusing to write an \
           unreplayable trace to %s"
          dropped path);
-  Obs.Recorder.write_jsonl ~header:(Trace.header_to_json header) recorder path
+  let header =
+    { Trace.h_version = Trace.current_version; h_kind = kind; h_trap_cache = trap_cache;
+      h_pre_resolve = pre_resolve; h_prefilter = prefilter; h_fingerprint = fingerprint;
+      h_against = None; h_traps = List.length (Obs.Recorder.trap_events recorder);
+      h_cycles = cycles }
+  in
+  Obs.Recorder.write_jsonl ~header:(Trace.header_to_json header) recorder path;
+  header
+
+let write_run_trace ~recorder ~trap_cache ~pre_resolve ~prefilter ~app ~scale
+    ~path (m : Drivers.measurement) : Trace.header =
+  write_trace ~recorder ~path
+    ~kind:(Trace.Run { app; defense = defense_key m.m_defense; scale })
+    ~trap_cache ~pre_resolve ~prefilter
+    ~fingerprint:(match m.m_monitor with Some mon -> fingerprint_of mon | None -> "-")
+    ~cycles:m.m_cycles
 
 let record_run ?(trap_cache = true) ?(pre_resolve = false) ?prefilter ~app
     ~scale ~defense ~path () : Drivers.measurement =
-  let a =
-    match app_of ~name:app ~scale with
-    | Ok a -> a
-    | Error msg -> malformed ~file:path msg
-  in
+  let a, _ = resolve_run ~file:path ~app ~scale ~defense:(defense_key defense) in
   let recorder =
     Obs.Recorder.create ~tracing:true ~ring_capacity:recording_ring_capacity ()
   in
   let m = Drivers.run ~trap_cache ~pre_resolve ?prefilter ~recorder a defense in
-  let header =
-    {
-      Trace.h_version = Trace.current_version;
-      h_kind = Trace.Run { app; defense = defense_key defense; scale };
-      h_trap_cache = trap_cache;
-      h_pre_resolve = pre_resolve;
-      h_prefilter = prefilter;
-      h_fingerprint =
-        (match m.Drivers.m_monitor with
-        | Some mon -> fingerprint_of mon
-        | None -> "-");
-      h_against = None;
-      h_traps = List.length (Obs.Recorder.trap_events recorder);
-      h_cycles = m.Drivers.m_cycles;
-    }
-  in
-  write_trace ~recorder ~header ~path;
+  ignore
+    (write_run_trace ~recorder ~trap_cache ~pre_resolve ~prefilter ~app ~scale
+       ~path m);
   m
 
 let record_attack ?(trap_cache = true) ?(pre_resolve = false) ?prefilter
@@ -152,86 +159,267 @@ let record_attack ?(trap_cache = true) ?(pre_resolve = false) ?prefilter
   | Runner.Undefended ->
     malformed ~file:path "undefended attack runs have no monitor to record"
   | _ -> ());
-  let attack =
-    match attack_of ~id:attack_id with
-    | Ok a -> a
-    | Error msg -> malformed ~file:path msg
-  in
+  let attack, _ = resolve_attack ~file:path ~attack_id ~config:(config_key config) in
   let recorder =
     Obs.Recorder.create ~tracing:true ~ring_capacity:recording_ring_capacity ()
   in
-  let fp = ref "-" in
-  let machine : Machine.t option ref = ref None in
+  let fp = ref "-" and machine : Machine.t option ref = ref None in
   let on_session (s : Bastion.Api.session) =
-    fp := fingerprint_of s.Bastion.Api.monitor;
-    machine := Some s.Bastion.Api.machine
+    fp := fingerprint_of s.monitor;
+    machine := Some s.machine
   in
-  let outcome =
-    Runner.run ~trap_cache ~pre_resolve ?prefilter ~recorder ~on_session attack
-      config
-  in
-  let header =
-    {
-      Trace.h_version = Trace.current_version;
-      h_kind = Trace.Attack { attack_id; config = config_key config };
-      h_trap_cache = trap_cache;
-      h_pre_resolve = pre_resolve;
-      h_prefilter = prefilter;
-      h_fingerprint = !fp;
-      h_against = None;
-      h_traps = List.length (Obs.Recorder.trap_events recorder);
-      h_cycles = (match !machine with Some m -> m.stats.cycles | None -> 0);
-    }
-  in
-  write_trace ~recorder ~header ~path;
+  let outcome = Runner.run ~trap_cache ~pre_resolve ?prefilter ~recorder ~on_session attack config in
+  ignore
+    (write_trace ~recorder ~path
+       ~kind:(Trace.Attack { attack_id; config = config_key config })
+       ~trap_cache ~pre_resolve ~prefilter ~fingerprint:!fp
+       ~cycles:(match !machine with Some m -> m.stats.cycles | None -> 0));
   outcome
 
 (* ------------------------------------------------------------------ *)
-(* Replay *)
+(* Report types (documented in the interface) *)
 
 type divergence = {
-  dv_line : int;
-  dv_seq : int;
-  dv_field : string;
-  dv_recorded : string;
-  dv_replayed : string;
+  dv_line : int; dv_seq : int; dv_field : string; dv_recorded : string; dv_replayed : string;
 }
 
 type report = {
-  rp_file : string;
-  rp_header : Trace.header;
-  rp_traps_recorded : int;
-  rp_traps_replayed : int;
-  rp_cycles_replayed : int;
-  rp_header_mismatch : (string * string) option;
-      (* (recorded fingerprint, deployed fingerprint) when the hard
-         gate refused to judge the stream — a run-level condition, not
-         a per-trap divergence, so it never appears in
-         [rp_divergences] *)
+  rp_file : string; rp_header : Trace.header;
+  rp_traps_recorded : int; rp_traps_replayed : int; rp_cycles_replayed : int;
+  rp_header_mismatch : (string * string) option;  (* (recorded, deployed) fingerprints *)
   rp_divergences : divergence list;
 }
 
 let ok r = r.rp_header_mismatch = None && r.rp_divergences = []
 
-(* Per-replay comparison state, shared between the injection source
-   and the wrapped tracer hook.  [idx] is the next recorded trap to
-   match; the source peeks at it, the hook advances it. *)
-type state = {
-  expected : (int * Event.t) array;
-  strict : bool;
-  mutable idx : int;
-  mutable extra : int;         (* fresh traps past the recorded stream *)
-  mutable divs : divergence list;  (* reverse discovery order *)
-  last : Event.t option ref;   (* fresh event, delivered via on_event *)
+type flip = {
+  fl_line : int; fl_seq : int; fl_sysno : int; fl_sysname : string; fl_rip : int64;
+  fl_before : string; fl_after : string;
 }
 
-let peek st = if st.idx < Array.length st.expected then Some st.expected.(st.idx) else None
+type context_move = {
+  cm_line : int; cm_seq : int; cm_sysname : string; cm_before : string; cm_after : string;
+}
 
-let push st ~line ~seq field recorded replayed =
-  st.divs <-
-    { dv_line = line; dv_seq = seq; dv_field = field; dv_recorded = recorded;
-      dv_replayed = replayed }
-    :: st.divs
+type diff_report = {
+  dr_file : string; dr_header : Trace.header;
+  dr_recorded_fp : string; dr_against_fp : string; dr_same_metadata : bool;
+  dr_traps_recorded : int; dr_traps_matched : int; dr_moved_to_prefilter : int;
+  dr_fresh_unmatched : int; dr_unconsumed_recorded : int;
+  dr_allow_to_deny : flip list; dr_deny_to_allow : flip list;
+  dr_context_moves : context_move list;
+  dr_tier_matrix : (string * string * int) list; dr_tier_moves : int;
+  dr_trap_cycle_delta : int; dr_cycles_recorded : int; dr_cycles_replayed : int;
+  dr_run_outcome : string option;
+}
+
+(* A diff is benign when no verdict moved in either direction, no
+   denial changed context, and the replayed run survived.  Tier
+   movements and cycle deltas are informational: they are the expected
+   consequence of metadata that got better or worse, not breakage. *)
+let diff_ok r =
+  r.dr_allow_to_deny = [] && r.dr_deny_to_allow = []
+  && r.dr_context_moves = [] && r.dr_run_outcome = None
+
+(* ------------------------------------------------------------------ *)
+(* The engine.
+
+   The entry point fixes the mode; no caller sets it.  It decides three
+   things:
+   - the hard gate.  [Strict] never judges a stream against a bundle
+     whose fingerprint differs from the recorded one; [Diff] exists to
+     do exactly that.
+   - alignment.  [Strict] aligns traps by position, so one corrupted
+     record cannot derail the records after it.  [Diff] also requires
+     the recorded (sysno, rip) to equal the live trap's: changed
+     metadata can move traps across the seccomp pre-filter, so the two
+     streams can genuinely differ, and a recorded snapshot is only
+     injected where the recorded trap demonstrably is the live one.
+   - unmatched fresh traps.  [Strict] follows the fresh verdict: past
+     the end of the recorded stream there is no recorded behaviour to
+     follow.  [Diff] allows them, because the recorded run resolved
+     them at the pre-filter, which allowed them.
+   When the fingerprints are equal the automata are identical and the
+   guard reduces to positional matching; a clean diff over the golden
+   corpus is the regression oracle. *)
+
+type mode = Strict | Diff
+
+(* One logged alignment decision, in discovery order. *)
+type step =
+  | Matched of int * Event.t * Event.t  (* line, recorded, fresh *)
+  | Moved_to_prefilter of int * Event.t
+      (* line, recorded: a trap the fresh automaton resolved at seccomp
+         stage *)
+  | Unmatched of Event.t  (* a fresh trap with no recorded counterpart *)
+
+type state = {
+  mode : mode;
+  expected : (int * Event.t) array;
+  mutable idx : int;              (* next recorded trap to align *)
+  mutable steps : step list;      (* reverse discovery order *)
+  mutable last : Event.t option;  (* fresh event, delivered via on_event *)
+  mutable fp : string option;     (* deployed fingerprint, once a session starts *)
+  mutable cycles : int;           (* final modelled cycle total of the replay *)
+  mutable died : string option;   (* why the replayed run died, if it did *)
+}
+
+(* The next recorded trap, if it aligns with a trap at [sysno]/[rip]. *)
+let aligned st ~sysno ~rip =
+  if st.idx >= Array.length st.expected then None
+  else
+    let (_, ev) as next = st.expected.(st.idx) in
+    if st.mode = Strict || (ev.Event.ev_sysno = sysno && Int64.equal ev.ev_rip rip)
+    then Some next
+    else None
+
+let snapshot_of_input (i : Event.input) : Ptrace.snapshot =
+  let frame (f : Event.frame) =
+    { Ptrace.fv_func = f.f_func; fv_callsite = f.f_callsite; fv_args = Array.copy f.f_args;
+      fv_ret_token = f.f_ret; fv_base = f.f_base }
+  in
+  let slot (s : Event.slot_read) =
+    (s.sr_base, { Ptrace.sl_lo = s.sr_lo; sl_span = Array.copy s.sr_span })
+  in
+  (* [sn_calls] is recomputed from the shape by [inject_snapshot]. *)
+  { sn_frames = List.map frame i.in_frames; sn_slots = List.map slot i.in_slots; sn_calls = 0 }
+
+(* The injected trap source: recorded inputs with live-identical cost
+   accounting, aligned against the live trap ([cur_sysno] and
+   [trap_rip] are engine-side peeks, never charged).  Anywhere else —
+   no aligned record, or a record without input — the fresh run reads
+   the tracee live, which is the ground truth because control flow
+   follows the recorded path. *)
+let source st : Bastion.Monitor.trap_source =
+  let next (tracer : Ptrace.t) =
+    aligned st ~sysno:tracer.cur_sysno ~rip:tracer.machine.Machine.trap_rip
+  in
+  {
+    Bastion.Monitor.ts_regs =
+      (fun tracer ->
+        match next tracer with
+        | Some (_, ({ Event.ev_input = Some i; _ } as ev)) ->
+          Ptrace.inject_regs tracer
+            { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno; args = Array.copy i.in_args }
+        | _ -> Ptrace.getregs tracer);
+    ts_snapshot =
+      (fun tracer ~slot_span ->
+        match next tracer with
+        | Some (_, { Event.ev_input = Some i; _ }) ->
+          Ptrace.inject_snapshot tracer (snapshot_of_input i)
+        | _ -> Ptrace.snapshot tracer ~slot_span);
+  }
+
+(* Wrap the monitor's tracer hook: run the real verification, log the
+   fresh event against its aligned recorded trap, then follow the
+   *recorded* verdict so the machine re-walks the recorded control
+   flow even when the two disagree. *)
+let wrap_hook st (proc : Kernel.Process.t) =
+  match proc.tracer_hook with
+  | None -> ()
+  | Some orig ->
+    proc.tracer_hook <-
+      Some
+        (fun p ~sysno ~args ->
+          st.last <- None;
+          let fresh_verdict = orig p ~sysno ~args in
+          match st.last with
+          | None -> fresh_verdict
+          | Some fresh -> (
+            match aligned st ~sysno:fresh.ev_sysno ~rip:fresh.ev_rip with
+            | Some (line, recorded) -> (
+              st.idx <- st.idx + 1;
+              st.steps <- Matched (line, recorded, fresh) :: st.steps;
+              match recorded.ev_verdict with
+              | Event.Allowed -> Kernel.Process.Continue
+              | Event.Denied { d_context; d_detail } ->
+                Kernel.Process.Deny { context = d_context; detail = d_detail })
+            | None -> (
+              st.steps <- Unmatched fresh :: st.steps;
+              match st.mode with
+              | Strict -> fresh_verdict
+              | Diff -> Kernel.Process.Continue)))
+
+(* The other side of the seccomp boundary: the fresh automaton resolves
+   a trap the recorded run delivered to the full monitor, which
+   consumes the recorded trap.  Installed only when the fingerprints
+   differ: with identical metadata the automata are identical and the
+   recorded stream holds exactly the fall-throughs. *)
+let wrap_resolve st (mon : Bastion.Monitor.t) =
+  match Bastion.Monitor.prefilter mon with
+  | None -> ()
+  | Some fa ->
+    let orig = fa.Kernel.Seccomp.fa_on_resolve in
+    fa.Kernel.Seccomp.fa_on_resolve <-
+      Some
+        (fun ~sysno ~rip ->
+          (match orig with Some f -> f ~sysno ~rip | None -> ());
+          match aligned st ~sysno ~rip with
+          | Some (line, recorded) ->
+            st.idx <- st.idx + 1;
+            st.steps <- Moved_to_prefilter (line, recorded) :: st.steps
+          | None -> ())
+
+(* The session runner: re-execute the recorded configuration (against
+   [against] when given) with the shared source and hooks deployed on
+   its monitored session, and return the filled state. *)
+let run_session mode ?against (tr : Trace.t) : state =
+  let h = tr.t_header and file = tr.t_file in
+  let st =
+    { mode; expected = Array.of_list tr.t_events; idx = 0; steps = [];
+      last = None; fp = None; cycles = 0; died = None }
+  in
+  let recorder = Obs.Recorder.create () in
+  Obs.Recorder.set_on_event recorder (Some (fun ev -> st.last <- Some ev));
+  (* Returns whether the stream is judged at all. *)
+  let deploy monitor process =
+    let fp = match monitor with Some mon -> fingerprint_of mon | None -> "-" in
+    st.fp <- Some fp;
+    let same = String.equal fp h.h_fingerprint in
+    let judged = same || mode = Diff in
+    if judged then begin
+      (match monitor with
+      | Some mon ->
+        Bastion.Monitor.set_source mon (source st);
+        if not same then wrap_resolve st mon
+      | None -> ());
+      wrap_hook st process
+    end;
+    judged
+  in
+  (match h.h_kind with
+  | Trace.Run { app; defense; scale } ->
+    let a, defense = resolve_run ~file ~app ~scale ~defense in
+    let pr =
+      Drivers.prepare ~trap_cache:h.h_trap_cache ~pre_resolve:h.h_pre_resolve
+        ?prefilter:h.h_prefilter ?bundle:against ~recorder a defense
+    in
+    if deploy pr.pr_monitor pr.pr_process then begin
+      (* Following a corrupted recorded verdict can kill the replayed
+         process; that is itself a finding, not an engine failure. *)
+      (try ignore (Drivers.execute pr)
+       with Drivers.Benign_run_died msg -> st.died <- Some msg);
+      st.cycles <- pr.pr_machine.stats.cycles
+    end
+  | Trace.Attack { attack_id; config } ->
+    let attack, config = resolve_attack ~file ~attack_id ~config in
+    let machine : Machine.t option ref = ref None in
+    let on_session (s : Bastion.Api.session) =
+      machine := Some s.machine;
+      ignore (deploy (Some s.monitor) s.process)
+    in
+    ignore
+      (Runner.run ~trap_cache:h.h_trap_cache ~pre_resolve:h.h_pre_resolve
+         ?prefilter:h.h_prefilter ?bundle:against ~recorder ~on_session attack
+         config);
+    st.cycles <- (match !machine with Some m -> m.stats.cycles | None -> 0));
+  st
+
+(* ------------------------------------------------------------------ *)
+(* Strict replay: field comparisons over the matched pairs plus the
+   run-level checks. *)
+
+let hex = Printf.sprintf "0x%Lx"
 
 let verdict_str = function
   | Event.Allowed -> "allowed"
@@ -251,17 +439,17 @@ let spans_str spans =
 (* Field-by-field comparison of one trap.  The default set covers what
    the acceptance gate calls verdict/cycle divergences; [strict] adds
    every remaining recorded field. *)
-let compare_event st ~line (recorded : Event.t) (fresh : Event.t) =
+let compare_event ~strict push ~line (recorded : Event.t) (fresh : Event.t) =
   let seq = recorded.ev_seq in
-  let chk field conv a b = if a <> b then push st ~line ~seq field (conv a) (conv b) in
+  let chk field conv a b = if a <> b then push ~line ~seq field (conv a) (conv b) in
   chk "kind" Event.kind_name recorded.ev_kind fresh.ev_kind;
   chk "sysno" string_of_int recorded.ev_sysno fresh.ev_sysno;
   chk "sysname" Fun.id recorded.ev_sysname fresh.ev_sysname;
-  chk "rip" (Printf.sprintf "0x%Lx") recorded.ev_rip fresh.ev_rip;
+  chk "rip" hex recorded.ev_rip fresh.ev_rip;
   chk "verdict" verdict_str recorded.ev_verdict fresh.ev_verdict;
   chk "depth" string_of_int recorded.ev_depth fresh.ev_depth;
   chk "dur_cycles" string_of_int recorded.ev_dur fresh.ev_dur;
-  if st.strict then begin
+  if strict then begin
     chk "seq" string_of_int recorded.ev_seq fresh.ev_seq;
     chk "start_cycles" string_of_int recorded.ev_start fresh.ev_start;
     chk "cache" cache_str recorded.ev_cache fresh.ev_cache;
@@ -271,650 +459,157 @@ let compare_event st ~line (recorded : Event.t) (fresh : Event.t) =
     chk "phases" spans_str recorded.ev_spans fresh.ev_spans
   end
 
-let snapshot_of_input (i : Event.input) : Ptrace.snapshot =
-  {
-    Ptrace.sn_frames =
-      List.map
-        (fun (f : Event.frame) ->
-          {
-            Ptrace.fv_func = f.f_func;
-            fv_callsite = f.f_callsite;
-            fv_args = Array.copy f.f_args;
-            fv_ret_token = f.f_ret;
-            fv_base = f.f_base;
-          })
-        i.in_frames;
-    sn_slots =
-      List.map
-        (fun (s : Event.slot_read) ->
-          (s.sr_base, { Ptrace.sl_lo = s.sr_lo; sl_span = Array.copy s.sr_span }))
-        i.in_slots;
-    sn_calls = 0;  (* recomputed from the shape by [inject_snapshot] *)
-  }
-
-(* The injected trap source: recorded inputs with live-identical cost
-   accounting.  Falls back to the live reads when the recorded stream
-   is exhausted (extra traps) or a record carries no input. *)
-let source_of st : Bastion.Monitor.trap_source =
-  {
-    Bastion.Monitor.ts_regs =
-      (fun tracer ->
-        match peek st with
-        | Some (_, ev) -> (
-          match ev.Event.ev_input with
-          | Some i ->
-            Ptrace.inject_regs tracer
-              { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno;
-                args = Array.copy i.in_args }
-          | None -> Ptrace.getregs tracer)
-        | None -> Ptrace.getregs tracer);
-    ts_snapshot =
-      (fun tracer ~slot_span ->
-        match peek st with
-        | Some (_, ({ Event.ev_input = Some i; _ })) ->
-          Ptrace.inject_snapshot tracer (snapshot_of_input i)
-        | _ -> Ptrace.snapshot tracer ~slot_span);
-  }
-
-(* Wrap the monitor's tracer hook: run the real verification, compare
-   the fresh event against the recorded one, then follow the
-   *recorded* verdict so the machine re-walks the recorded control
-   flow even when the two disagree. *)
-let wrap_hook st (proc : Kernel.Process.t) =
-  match proc.tracer_hook with
-  | None -> ()
-  | Some orig ->
-    proc.tracer_hook <-
-      Some
-        (fun p ~sysno ~args ->
-          st.last := None;
-          let fresh_verdict = orig p ~sysno ~args in
-          match !(st.last) with
-          | None -> fresh_verdict
-          | Some fresh -> (
-            match peek st with
-            | Some (line, recorded) ->
-              compare_event st ~line recorded fresh;
-              st.idx <- st.idx + 1;
-              (match recorded.ev_verdict with
-              | Event.Allowed -> Kernel.Process.Continue
-              | Event.Denied { d_context; d_detail } ->
-                Kernel.Process.Deny { context = d_context; detail = d_detail })
-            | None ->
-              st.extra <- st.extra + 1;
-              if st.extra = 1 then
-                push st ~line:0 ~seq:(-1) "extra-trap" "(end of recorded stream)"
-                  (Printf.sprintf "%s(%d) at cycle %d" fresh.ev_sysname
-                     fresh.ev_sysno fresh.ev_start);
-              fresh_verdict))
-
-let fresh_recorder st =
-  let r = Obs.Recorder.create () in
-  Obs.Recorder.set_on_event r (Some (fun ev -> st.last := Some ev));
-  r
-
-let finish st (tr : Trace.t) ~fresh_cycles : report =
-  let n = Array.length st.expected in
-  if st.idx < n then begin
-    let line, first_missing = st.expected.(st.idx) in
-    push st ~line ~seq:first_missing.Event.ev_seq "missing-traps"
-      (Printf.sprintf "%d traps" n)
-      (Printf.sprintf "%d traps (stream ends at seq %d)" st.idx
-         first_missing.Event.ev_seq)
-  end;
-  if st.extra > 1 then
-    push st ~line:0 ~seq:(-1) "extra-traps" "0"
-      (Printf.sprintf "%d traps past the recorded stream" st.extra);
-  if fresh_cycles <> tr.t_header.h_cycles then
-    push st ~line:0 ~seq:(-1) "total-cycles"
-      (string_of_int tr.t_header.h_cycles)
-      (string_of_int fresh_cycles);
-  {
-    rp_file = tr.t_file;
-    rp_header = tr.t_header;
-    rp_traps_recorded = n;
-    rp_traps_replayed = st.idx + st.extra;
-    rp_cycles_replayed = fresh_cycles;
-    rp_header_mismatch = None;
-    rp_divergences = List.rev st.divs;
-  }
-
-let fingerprint_only_report (tr : Trace.t) ~expected_fp ~actual_fp : report =
-  {
-    rp_file = tr.t_file;
-    rp_header = tr.t_header;
-    rp_traps_recorded = List.length tr.t_events;
-    rp_traps_replayed = 0;
-    rp_cycles_replayed = 0;
-    rp_header_mismatch = Some (expected_fp, actual_fp);
-    rp_divergences = [];
-  }
-
-let new_state ~strict (tr : Trace.t) : state =
-  {
-    expected = Array.of_list tr.t_events;
-    strict;
-    idx = 0;
-    extra = 0;
-    divs = [];
-    last = ref None;
-  }
-
-let replay_run ~strict (tr : Trace.t) ~app ~defense ~scale : report =
-  let a =
-    match app_of ~name:app ~scale with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let defense =
-    match defense_of_key defense with
-    | Some d -> d
-    | None -> malformed ~file:tr.t_file (Printf.sprintf "unknown defense %S" defense)
-  in
-  let st = new_state ~strict tr in
-  let recorder = fresh_recorder st in
-  let prepared =
-    Drivers.prepare ~trap_cache:tr.t_header.h_trap_cache
-      ~pre_resolve:tr.t_header.h_pre_resolve
-      ?prefilter:tr.t_header.h_prefilter ~recorder a defense
-  in
-  let actual_fp =
-    match prepared.Drivers.pr_monitor with
-    | Some mon -> fingerprint_of mon
-    | None -> "-"
-  in
-  if not (String.equal actual_fp tr.t_header.h_fingerprint) then
-    (* The hard gate: never judge a trace against different metadata. *)
-    fingerprint_only_report tr ~expected_fp:tr.t_header.h_fingerprint ~actual_fp
-  else begin
-    (match prepared.Drivers.pr_monitor with
-    | Some mon -> Bastion.Monitor.set_source mon (source_of st)
-    | None -> ());
-    wrap_hook st prepared.Drivers.pr_process;
-    (* Following a corrupted recorded verdict can kill the replayed
-       process; that is itself a divergence, not an engine failure. *)
-    (try ignore (Drivers.execute prepared)
-     with Drivers.Benign_run_died msg ->
-       push st ~line:0 ~seq:(-1) "run-outcome" "clean exit" msg);
-    finish st tr ~fresh_cycles:prepared.Drivers.pr_machine.stats.cycles
-  end
-
-let replay_attack ~strict (tr : Trace.t) ~attack_id ~config : report =
-  let attack =
-    match attack_of ~id:attack_id with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let config =
-    match config_of_key config with
-    | Some c -> c
-    | None ->
-      malformed ~file:tr.t_file (Printf.sprintf "unknown attack config %S" config)
-  in
-  let st = new_state ~strict tr in
-  let recorder = fresh_recorder st in
-  let machine : Machine.t option ref = ref None in
-  let fp_mismatch = ref None in
-  let on_session (s : Bastion.Api.session) =
-    machine := Some s.Bastion.Api.machine;
-    let actual_fp = fingerprint_of s.Bastion.Api.monitor in
-    if String.equal actual_fp tr.t_header.h_fingerprint then begin
-      Bastion.Monitor.set_source s.Bastion.Api.monitor (source_of st);
-      wrap_hook st s.Bastion.Api.process
-    end
-    else fp_mismatch := Some actual_fp
-  in
-  ignore
-    (Runner.run ~trap_cache:tr.t_header.h_trap_cache
-       ~pre_resolve:tr.t_header.h_pre_resolve
-       ?prefilter:tr.t_header.h_prefilter ~recorder ~on_session attack config);
-  match !fp_mismatch with
-  | Some actual_fp ->
-    fingerprint_only_report tr ~expected_fp:tr.t_header.h_fingerprint ~actual_fp
-  | None ->
-    let fresh_cycles = match !machine with Some m -> m.stats.cycles | None -> 0 in
-    finish st tr ~fresh_cycles
+let strict_report ~strict (tr : Trace.t) (st : state) : report =
+  let h = tr.t_header and n = Array.length st.expected in
+  let report = { rp_file = tr.t_file; rp_header = h; rp_traps_recorded = n;
+                 rp_traps_replayed = 0; rp_cycles_replayed = 0;
+                 rp_header_mismatch = None; rp_divergences = [] } in
+  match st.fp with
+  | Some fp when not (String.equal fp h.h_fingerprint) ->
+    (* The hard gate: the stream was never judged. *)
+    { report with rp_header_mismatch = Some (h.h_fingerprint, fp) }
+  | _ ->
+    let divs = ref [] in
+    let push ~line ~seq field recorded replayed =
+      divs := { dv_line = line; dv_seq = seq; dv_field = field;
+                dv_recorded = recorded; dv_replayed = replayed } :: !divs
+    in
+    let extra = ref 0 in
+    List.iter
+      (function
+        | Matched (line, recorded, fresh) -> compare_event ~strict push ~line recorded fresh
+        | Unmatched fresh ->
+          incr extra;
+          if !extra = 1 then
+            push ~line:0 ~seq:(-1) "extra-trap" "(end of recorded stream)"
+              (Printf.sprintf "%s(%d) at cycle %d" fresh.ev_sysname fresh.ev_sysno
+                 fresh.ev_start)
+        | Moved_to_prefilter _ -> () (* needs changed metadata, which the gate refuses *))
+      (List.rev st.steps);
+    Option.iter (push ~line:0 ~seq:(-1) "run-outcome" "clean exit") st.died;
+    if st.idx < n then begin
+      let line, first_missing = st.expected.(st.idx) in
+      push ~line ~seq:first_missing.ev_seq "missing-traps" (Printf.sprintf "%d traps" n)
+        (Printf.sprintf "%d traps (stream ends at seq %d)" st.idx first_missing.ev_seq)
+    end;
+    if !extra > 1 then
+      push ~line:0 ~seq:(-1) "extra-traps" "0"
+        (Printf.sprintf "%d traps past the recorded stream" !extra);
+    if st.cycles <> h.h_cycles then
+      push ~line:0 ~seq:(-1) "total-cycles" (string_of_int h.h_cycles)
+        (string_of_int st.cycles);
+    { report with rp_traps_replayed = st.idx + !extra; rp_cycles_replayed = st.cycles;
+                  rp_divergences = List.rev !divs }
 
 let replay ?(strict = false) (tr : Trace.t) : report =
-  match tr.t_header.h_kind with
-  | Trace.Run { app; defense; scale } -> replay_run ~strict tr ~app ~defense ~scale
-  | Trace.Attack { attack_id; config } -> replay_attack ~strict tr ~attack_id ~config
+  strict_report ~strict tr (run_session Strict tr)
 
 (* ------------------------------------------------------------------ *)
-(* Differential replay.
-
-   Where strict replay refuses a trace whose metadata fingerprint has
-   moved, differential replay embraces it: re-execute the recorded trap
-   stream through a monitor built from *changed* metadata, follow the
-   recorded snapshot inputs and verdicts (so control flow stays on the
-   recorded path), but judge every trap with the fresh verification
-   logic — and report what moved.  Verdict flips (allow->deny and
-   deny->allow separately), denial-context changes, tier movements
-   (including across the seccomp pre-filter boundary) and cycle deltas
-   are the payload, not failures.
-
-   Stream alignment is positional with a (sysno, rip) guard: a
-   recorded trap is consumed by the fresh trap at the same position
-   only when both agree on the trapping syscall and callsite.  When
-   the changed metadata alters the *pre-filter automaton* the streams
-   can genuinely differ: a recorded trap the fresh automaton resolves
-   at seccomp stage is consumed by the wrapped resolution hook (a
-   movement to the prefilter tier), and a fresh trap the recorded run
-   resolved (so it is absent from the trace) is judged fresh against a
-   synthetic prefilter "before" and then allowed through, because
-   that is how the recorded run behaved.  When the fingerprints are
-   equal the automata are identical, the guards reduce to pure
-   positional matching, and a clean diff (zero flips, zero moves) is
-   the regression oracle CI asserts over the golden corpus. *)
-
-type flip = {
-  fl_line : int;    (* trace line of the recorded trap; 0 when unmatched *)
-  fl_seq : int;     (* recorded trap sequence number; -1 when unmatched *)
-  fl_sysno : int;
-  fl_sysname : string;
-  fl_rip : int64;
-  fl_before : string;  (* recorded side of the verdict *)
-  fl_after : string;   (* freshly judged side *)
-}
-
-type context_move = {
-  cm_line : int;
-  cm_seq : int;
-  cm_sysname : string;
-  cm_before : string;  (* recorded denial, "context: detail" *)
-  cm_after : string;   (* fresh denial *)
-}
-
-type diff_report = {
-  dr_file : string;
-  dr_header : Trace.header;  (* [h_against] filled with the fresh fingerprint *)
-  dr_recorded_fp : string;
-  dr_against_fp : string;
-  dr_same_metadata : bool;
-  dr_traps_recorded : int;
-  dr_traps_matched : int;
-  dr_moved_to_prefilter : int;
-      (* recorded traps the fresh automaton resolved at seccomp stage *)
-  dr_fresh_unmatched : int;
-      (* fresh traps with no recorded counterpart (prefilter-resolved
-         in the recorded run) *)
-  dr_unconsumed_recorded : int;
-      (* recorded traps the fresh run never delivered *)
-  dr_allow_to_deny : flip list;
-  dr_deny_to_allow : flip list;
-  dr_context_moves : context_move list;
-  dr_tier_matrix : (string * string * int) list;
-      (* (before, after, count), ascending tier-rank order, zero rows
-         omitted; the diagonal counts traps whose tier did not move *)
-  dr_tier_moves : int;  (* off-diagonal total *)
-  dr_trap_cycle_delta : int;  (* Σ fresh dur - recorded dur, matched traps *)
-  dr_cycles_recorded : int;
-  dr_cycles_replayed : int;
-  dr_run_outcome : string option;  (* Some msg when the replayed run died *)
-}
-
-(* A diff is benign when no verdict moved in either direction, no
-   denial changed context, and the replayed run survived.  Tier
-   movements and cycle deltas are informational: they are the expected
-   consequence of metadata that got better or worse, not breakage. *)
-let diff_ok r =
-  r.dr_allow_to_deny = [] && r.dr_deny_to_allow = []
-  && r.dr_context_moves = [] && r.dr_run_outcome = None
-
-(* The in-tree compile pass for the recorded configuration — the base
-   whose instrumented program an edited metadata file is restored
-   against ([Metadata_io.load (base_bundle tr).inst.iprog]). *)
-let base_bundle (tr : Trace.t) : Bastion.Api.protected =
-  let pre_resolve = tr.t_header.h_pre_resolve in
-  match tr.t_header.h_kind with
-  | Trace.Run { app; defense; scale } ->
-    let a =
-      match app_of ~name:app ~scale with
-      | Ok a -> a
-      | Error msg -> malformed ~file:tr.t_file msg
-    in
-    let fs =
-      match defense_of_key defense with
-      | Some (Drivers.Bastion_fs _) -> true
-      | Some _ -> false
-      | None ->
-        malformed ~file:tr.t_file (Printf.sprintf "unknown defense %S" defense)
-    in
-    Drivers.protected_of ~pre_resolve a ~fs
-  | Trace.Attack { attack_id; _ } ->
-    let attack =
-      match attack_of ~id:attack_id with
-      | Ok a -> a
-      | Error msg -> malformed ~file:tr.t_file msg
-    in
-    let p =
-      Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope
-        (attack.a_victim.v_build ())
-    in
-    if pre_resolve then Bastion_analysis.Preresolve.enrich p else p
-
-type dstate = {
-  d_expected : (int * Event.t) array;
-  d_against_fp : string;
-  d_same : bool;  (* fingerprints equal: pure positional matching *)
-  mutable d_idx : int;
-  mutable d_matched : int;
-  mutable d_moved_pre : int;
-  mutable d_unmatched : int;
-  mutable d_ad : flip list;          (* reverse discovery order *)
-  mutable d_da : flip list;
-  mutable d_ctx : context_move list;
-  d_matrix : int array array;        (* 6x6, indexed by tier rank *)
-  mutable d_trap_delta : int;
-  d_last : Event.t option ref;
-}
-
-let new_dstate (tr : Trace.t) ~against_fp ~last : dstate =
-  {
-    d_expected = Array.of_list tr.t_events;
-    d_against_fp = against_fp;
-    d_same = String.equal against_fp tr.t_header.h_fingerprint;
-    d_idx = 0;
-    d_matched = 0;
-    d_moved_pre = 0;
-    d_unmatched = 0;
-    d_ad = [];
-    d_da = [];
-    d_ctx = [];
-    d_matrix = Array.make_matrix 6 6 0;
-    d_trap_delta = 0;
-    d_last = last;
-  }
-
-let dpeek d =
-  if d.d_idx < Array.length d.d_expected then Some d.d_expected.(d.d_idx)
-  else None
-
-let bump_matrix d ~before ~after =
-  match (before, after) with
-  | Some b, Some a ->
-    let b = Event.tier_rank b and a = Event.tier_rank a in
-    d.d_matrix.(b).(a) <- d.d_matrix.(b).(a) + 1
-  | _ -> ()  (* fetch-only records carry no tier; nothing to place *)
-
-let mkflip ~line (recorded : Event.t) ~before ~after : flip =
-  {
-    fl_line = line;
-    fl_seq = recorded.ev_seq;
-    fl_sysno = recorded.ev_sysno;
-    fl_sysname = recorded.ev_sysname;
-    fl_rip = recorded.ev_rip;
-    fl_before = before;
-    fl_after = after;
-  }
-
-(* Injection for the diff: recorded inputs only where the recorded
-   trap demonstrably is the live trap (same syscall, same callsite —
-   [trap_rip] and [cur_sysno] are engine-side peeks, never charged).
-   Anywhere else the fresh run reads the tracee live, which is the
-   ground truth because control flow follows the recorded path. *)
-let diff_source d : Bastion.Monitor.trap_source =
-  let next (tracer : Ptrace.t) =
-    match dpeek d with
-    | Some (_, ev)
-      when ev.Event.ev_sysno = tracer.Ptrace.cur_sysno
-           && Int64.equal ev.Event.ev_rip tracer.Ptrace.machine.Machine.trap_rip
-      ->
-      Some ev
-    | _ -> None
-  in
-  {
-    Bastion.Monitor.ts_regs =
-      (fun tracer ->
-        match next tracer with
-        | Some ev -> (
-          match ev.Event.ev_input with
-          | Some i ->
-            Ptrace.inject_regs tracer
-              { Ptrace.rip = ev.ev_rip; sysno = ev.ev_sysno;
-                args = Array.copy i.in_args }
-          | None -> Ptrace.getregs tracer)
-        | None -> Ptrace.getregs tracer);
-    ts_snapshot =
-      (fun tracer ~slot_span ->
-        match next tracer with
-        | Some { Event.ev_input = Some i; _ } ->
-          Ptrace.inject_snapshot tracer (snapshot_of_input i)
-        | _ -> Ptrace.snapshot tracer ~slot_span);
-  }
-
-(* Wrap the tracer hook: judge the trap fresh, classify the movement
-   against the matched recorded trap, then follow the *recorded*
-   behaviour (matched traps follow the recorded verdict; unmatched
-   fresh traps were prefilter-resolved — i.e. allowed — in the
-   recorded run). *)
-let diff_hook d (proc : Kernel.Process.t) =
-  match proc.tracer_hook with
-  | None -> ()
-  | Some orig ->
-    proc.tracer_hook <-
-      Some
-        (fun p ~sysno ~args ->
-          d.d_last := None;
-          let fresh_verdict = orig p ~sysno ~args in
-          match !(d.d_last) with
-          | None -> fresh_verdict
-          | Some fresh -> (
-            match dpeek d with
-            | Some (line, recorded)
-              when recorded.Event.ev_sysno = fresh.Event.ev_sysno
-                   && Int64.equal recorded.ev_rip fresh.ev_rip ->
-              d.d_idx <- d.d_idx + 1;
-              d.d_matched <- d.d_matched + 1;
-              d.d_trap_delta <- d.d_trap_delta + fresh.ev_dur - recorded.ev_dur;
-              bump_matrix d ~before:recorded.ev_tier ~after:fresh.ev_tier;
-              (match (recorded.ev_verdict, fresh.ev_verdict) with
-              | Event.Allowed, Event.Allowed -> ()
-              | Event.Allowed, (Event.Denied _ as v) ->
-                d.d_ad <-
-                  mkflip ~line recorded ~before:"allowed" ~after:(verdict_str v)
-                  :: d.d_ad
-              | (Event.Denied _ as v), Event.Allowed ->
-                d.d_da <-
-                  mkflip ~line recorded ~before:(verdict_str v) ~after:"allowed"
-                  :: d.d_da
-              | (Event.Denied _ as rv), (Event.Denied _ as fv) ->
-                if rv <> fv then
-                  d.d_ctx <-
-                    { cm_line = line; cm_seq = recorded.ev_seq;
-                      cm_sysname = recorded.ev_sysname;
-                      cm_before = verdict_str rv; cm_after = verdict_str fv }
-                    :: d.d_ctx);
-              (match recorded.ev_verdict with
-              | Event.Allowed -> Kernel.Process.Continue
-              | Event.Denied { d_context; d_detail } ->
-                Kernel.Process.Deny { context = d_context; detail = d_detail })
-            | _ ->
-              (* No recorded counterpart: the recorded run resolved this
-                 trap at the seccomp stage, so its "before" is the
-                 prefilter tier and its recorded behaviour is allow. *)
-              d.d_unmatched <- d.d_unmatched + 1;
-              bump_matrix d ~before:(Some Event.Tier_prefilter)
-                ~after:fresh.ev_tier;
-              (match fresh.ev_verdict with
-              | Event.Denied _ as v ->
-                d.d_ad <-
-                  mkflip ~line:0
-                    { fresh with ev_seq = -1 }
-                    ~before:"allowed@prefilter" ~after:(verdict_str v)
-                  :: d.d_ad
-              | Event.Allowed -> ());
-              Kernel.Process.Continue))
-
-(* The other side of the seccomp boundary: the fresh automaton resolves
-   a trap the recorded run delivered to the full monitor.  Consume the
-   recorded trap as a movement to the prefilter tier; a recorded denial
-   resolved away is a deny->allow flip.  With identical fingerprints
-   the automata are identical and the recorded stream holds exactly the
-   fall-throughs, so the guard is skipped entirely. *)
-let diff_wrap_resolve d (mon : Bastion.Monitor.t) =
-  match Bastion.Monitor.prefilter mon with
-  | None -> ()
-  | Some fa ->
-    let orig = fa.Kernel.Seccomp.fa_on_resolve in
-    fa.Kernel.Seccomp.fa_on_resolve <-
-      Some
-        (fun ~sysno ~rip ->
-          (match orig with Some f -> f ~sysno ~rip | None -> ());
-          if not d.d_same then
-            match dpeek d with
-            | Some (line, recorded)
-              when recorded.Event.ev_sysno = sysno
-                   && Int64.equal recorded.ev_rip rip ->
-              d.d_idx <- d.d_idx + 1;
-              d.d_moved_pre <- d.d_moved_pre + 1;
-              bump_matrix d ~before:recorded.ev_tier
-                ~after:(Some Event.Tier_prefilter);
-              (match recorded.ev_verdict with
-              | Event.Denied _ as v ->
-                d.d_da <-
-                  mkflip ~line recorded ~before:(verdict_str v)
-                    ~after:"allowed@prefilter"
-                  :: d.d_da
-              | Event.Allowed -> ())
-            | _ -> ())
+(* Differential replay: verdict flips (allow->deny and deny->allow
+   separately), denial-context moves, the tier-transition matrix and
+   cycle deltas over the same log.  A trap only one side delivered
+   crossed the seccomp boundary, so its other side is the pre-filter
+   tier and an allow. *)
 
 let tier_rank_name r =
   match Event.tier_of_rank r with Some t -> Event.tier_name t | None -> "?"
 
-let diff_finish d (tr : Trace.t) ~fresh_cycles ~run_outcome : diff_report =
-  let entries = ref [] in
-  let moves = ref 0 in
+let at_prefilter = (Event.Allowed, "allowed@prefilter", Some Event.Tier_prefilter)
+let judged (ev : Event.t) = (ev.ev_verdict, verdict_str ev.ev_verdict, ev.ev_tier)
+
+let diff_report_of (tr : Trace.t) (st : state) : diff_report =
+  let h = tr.t_header and n = Array.length st.expected in
+  let against_fp =
+    match st.fp with
+    | Some fp -> fp
+    | None -> malformed ~file:tr.t_file "undefended attack traces cannot be diff-replayed"
+  in
+  let matrix = Array.make_matrix 6 6 0 in
+  let matched = ref 0 and moved_pre = ref 0 and unmatched = ref 0 and delta = ref 0 in
+  let ad = ref [] and da = ref [] and ctx = ref [] in
+  (* Classify one trap's movement; [ev] names the trap in the report. *)
+  let classify ~line ~seq (ev : Event.t) (bv, before, btier) (av, after, atier) =
+    (match (btier, atier) with
+    | Some b, Some a ->
+      let b = Event.tier_rank b and a = Event.tier_rank a in
+      matrix.(b).(a) <- matrix.(b).(a) + 1
+    | _ -> ());  (* fetch-only records carry no tier; nothing to place *)
+    let flip () =
+      { fl_line = line; fl_seq = seq; fl_sysno = ev.ev_sysno; fl_sysname = ev.ev_sysname;
+        fl_rip = ev.ev_rip; fl_before = before; fl_after = after }
+    in
+    match (bv, av) with
+    | Event.Allowed, Event.Allowed -> ()
+    | Event.Allowed, Event.Denied _ -> ad := flip () :: !ad
+    | Event.Denied _, Event.Allowed -> da := flip () :: !da
+    | Event.Denied _, Event.Denied _ ->
+      if bv <> av then
+        ctx := { cm_line = line; cm_seq = seq; cm_sysname = ev.ev_sysname;
+                 cm_before = before; cm_after = after } :: !ctx
+  in
+  List.iter
+    (function
+      | Matched (line, recorded, fresh) ->
+        incr matched;
+        delta := !delta + fresh.ev_dur - recorded.ev_dur;
+        classify ~line ~seq:recorded.ev_seq recorded (judged recorded) (judged fresh)
+      | Moved_to_prefilter (line, recorded) ->
+        incr moved_pre;
+        classify ~line ~seq:recorded.ev_seq recorded (judged recorded) at_prefilter
+      | Unmatched fresh ->
+        incr unmatched;
+        classify ~line:0 ~seq:(-1) fresh at_prefilter (judged fresh))
+    (List.rev st.steps);
+  let entries = ref [] and moves = ref 0 in
   for b = 5 downto 0 do
     for a = 5 downto 0 do
-      let c = d.d_matrix.(b).(a) in
+      let c = matrix.(b).(a) in
       if c > 0 then begin
         if b <> a then moves := !moves + c;
         entries := (tier_rank_name b, tier_rank_name a, c) :: !entries
       end
     done
   done;
-  {
-    dr_file = tr.t_file;
-    dr_header = { tr.t_header with Trace.h_against = Some d.d_against_fp };
-    dr_recorded_fp = tr.t_header.h_fingerprint;
-    dr_against_fp = d.d_against_fp;
-    dr_same_metadata = d.d_same;
-    dr_traps_recorded = Array.length d.d_expected;
-    dr_traps_matched = d.d_matched;
-    dr_moved_to_prefilter = d.d_moved_pre;
-    dr_fresh_unmatched = d.d_unmatched;
-    dr_unconsumed_recorded = Array.length d.d_expected - d.d_idx;
-    dr_allow_to_deny = List.rev d.d_ad;
-    dr_deny_to_allow = List.rev d.d_da;
-    dr_context_moves = List.rev d.d_ctx;
-    dr_tier_matrix = !entries;
-    dr_tier_moves = !moves;
-    dr_trap_cycle_delta = d.d_trap_delta;
-    dr_cycles_recorded = tr.t_header.h_cycles;
-    dr_cycles_replayed = fresh_cycles;
-    dr_run_outcome = run_outcome;
-  }
-
-let diff_run ?against (tr : Trace.t) ~app ~defense ~scale : diff_report =
-  let a =
-    match app_of ~name:app ~scale with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let defense_v =
-    match defense_of_key defense with
-    | Some d -> d
-    | None -> malformed ~file:tr.t_file (Printf.sprintf "unknown defense %S" defense)
-  in
-  let last = ref None in
-  let recorder = Obs.Recorder.create () in
-  Obs.Recorder.set_on_event recorder (Some (fun ev -> last := Some ev));
-  let prepared =
-    Drivers.prepare ~trap_cache:tr.t_header.h_trap_cache
-      ~pre_resolve:tr.t_header.h_pre_resolve
-      ?prefilter:tr.t_header.h_prefilter ?bundle:against ~recorder a defense_v
-  in
-  let against_fp =
-    match prepared.Drivers.pr_monitor with
-    | Some mon -> fingerprint_of mon
-    | None -> "-"
-  in
-  let d = new_dstate tr ~against_fp ~last in
-  (match prepared.Drivers.pr_monitor with
-  | Some mon ->
-    Bastion.Monitor.set_source mon (diff_source d);
-    diff_wrap_resolve d mon
-  | None -> ());
-  diff_hook d prepared.Drivers.pr_process;
-  let run_outcome =
-    try
-      ignore (Drivers.execute prepared);
-      None
-    with Drivers.Benign_run_died msg -> Some msg
-  in
-  diff_finish d tr ~fresh_cycles:prepared.Drivers.pr_machine.stats.cycles
-    ~run_outcome
-
-let diff_attack ?against (tr : Trace.t) ~attack_id ~config : diff_report =
-  let attack =
-    match attack_of ~id:attack_id with
-    | Ok a -> a
-    | Error msg -> malformed ~file:tr.t_file msg
-  in
-  let config_v =
-    match config_of_key config with
-    | Some c -> c
-    | None ->
-      malformed ~file:tr.t_file (Printf.sprintf "unknown attack config %S" config)
-  in
-  let last = ref None in
-  let recorder = Obs.Recorder.create () in
-  Obs.Recorder.set_on_event recorder (Some (fun ev -> last := Some ev));
-  let machine : Machine.t option ref = ref None in
-  let dref = ref None in
-  let on_session (s : Bastion.Api.session) =
-    machine := Some s.Bastion.Api.machine;
-    let against_fp = fingerprint_of s.Bastion.Api.monitor in
-    let d = new_dstate tr ~against_fp ~last in
-    dref := Some d;
-    Bastion.Monitor.set_source s.Bastion.Api.monitor (diff_source d);
-    diff_wrap_resolve d s.Bastion.Api.monitor;
-    diff_hook d s.Bastion.Api.process
-  in
-  ignore
-    (Runner.run ~trap_cache:tr.t_header.h_trap_cache
-       ~pre_resolve:tr.t_header.h_pre_resolve
-       ?prefilter:tr.t_header.h_prefilter ?bundle:against ~recorder ~on_session
-       attack config_v);
-  match !dref with
-  | None ->
-    malformed ~file:tr.t_file "undefended attack traces cannot be diff-replayed"
-  | Some d ->
-    let fresh_cycles =
-      match !machine with Some m -> m.Machine.stats.cycles | None -> 0
-    in
-    diff_finish d tr ~fresh_cycles ~run_outcome:None
+  { dr_file = tr.t_file; dr_header = { h with Trace.h_against = Some against_fp };
+    dr_recorded_fp = h.h_fingerprint; dr_against_fp = against_fp;
+    dr_same_metadata = String.equal against_fp h.h_fingerprint;
+    dr_traps_recorded = n; dr_traps_matched = !matched; dr_moved_to_prefilter = !moved_pre;
+    dr_fresh_unmatched = !unmatched; dr_unconsumed_recorded = n - st.idx;
+    dr_allow_to_deny = List.rev !ad; dr_deny_to_allow = List.rev !da;
+    dr_context_moves = List.rev !ctx; dr_tier_matrix = !entries; dr_tier_moves = !moves;
+    dr_trap_cycle_delta = !delta; dr_cycles_recorded = h.h_cycles;
+    dr_cycles_replayed = st.cycles; dr_run_outcome = st.died }
 
 let diff_replay ?against (tr : Trace.t) : diff_report =
+  diff_report_of tr (run_session Diff ?against tr)
+
+(* The in-tree compile pass for the recorded configuration — the base
+   whose instrumented program an edited metadata file is restored
+   against ([Metadata_io.load (base_bundle tr).inst.iprog]). *)
+let base_bundle (tr : Trace.t) : Bastion.Api.protected =
+  let pre_resolve = tr.t_header.h_pre_resolve and file = tr.t_file in
   match tr.t_header.h_kind with
-  | Trace.Run { app; defense; scale } -> diff_run ?against tr ~app ~defense ~scale
+  | Trace.Run { app; defense; scale } ->
+    let a, defense = resolve_run ~file ~app ~scale ~defense in
+    let fs = match defense with Drivers.Bastion_fs _ -> true | _ -> false in
+    Drivers.protected_of ~pre_resolve a ~fs
   | Trace.Attack { attack_id; config } ->
-    diff_attack ?against tr ~attack_id ~config
+    let attack, _ = resolve_attack ~file ~attack_id ~config in
+    let p =
+      Bastion.Api.protect ~protect_filesystem:attack.a_fs_scope
+        (attack.a_victim.v_build ())
+    in
+    if pre_resolve then Bastion_analysis.Preresolve.enrich p else p
 
 (* ------------------------------------------------------------------ *)
 (* Reporting *)
 
+let num i = Report.Json.Num (float_of_int i)
+
 let divergence_to_json (d : divergence) : Report.Json.t =
-  let open Report.Json in
-  Obj
-    [
-      ("line", Num (float_of_int d.dv_line));
-      ("seq", Num (float_of_int d.dv_seq));
-      ("field", Str d.dv_field);
-      ("recorded", Str d.dv_recorded);
-      ("replayed", Str d.dv_replayed);
-    ]
+  Report.Json.(
+    Obj [ ("line", num d.dv_line); ("seq", num d.dv_seq); ("field", Str d.dv_field);
+          ("recorded", Str d.dv_recorded); ("replayed", Str d.dv_replayed) ])
 
 let report_to_json (r : report) : Report.Json.t =
   let open Report.Json in
@@ -922,17 +617,16 @@ let report_to_json (r : report) : Report.Json.t =
     ([
       ("file", Str r.rp_file);
       ("header", Trace.header_to_json r.rp_header);
-      ("traps_recorded", Num (float_of_int r.rp_traps_recorded));
-      ("traps_replayed", Num (float_of_int r.rp_traps_replayed));
-      ("cycles_recorded", Num (float_of_int r.rp_header.Trace.h_cycles));
-      ("cycles_replayed", Num (float_of_int r.rp_cycles_replayed));
+      ("traps_recorded", num r.rp_traps_recorded);
+      ("traps_replayed", num r.rp_traps_replayed);
+      ("cycles_recorded", num r.rp_header.Trace.h_cycles);
+      ("cycles_replayed", num r.rp_cycles_replayed);
       ("ok", Bool (ok r));
     ]
     @ (match r.rp_header_mismatch with
       | None -> []
       | Some (recorded, deployed) ->
-        [ ("header_mismatch",
-           Obj [ ("recorded", Str recorded); ("deployed", Str deployed) ]) ])
+        [ ("header_mismatch", Obj [ ("recorded", Str recorded); ("deployed", Str deployed) ]) ])
     @ [ ("divergences", List (List.map divergence_to_json r.rp_divergences)) ])
 
 let kind_str = function
@@ -941,56 +635,39 @@ let kind_str = function
 
 let render (r : report) : string =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "replay %s: %s — %d traps recorded, %d replayed, %d divergence%s\n"
-       r.rp_file (kind_str r.rp_header.Trace.h_kind) r.rp_traps_recorded
-       r.rp_traps_replayed
-       (List.length r.rp_divergences)
-       (if List.length r.rp_divergences = 1 then "" else "s"));
-  (match r.rp_header_mismatch with
-  | None -> ()
-  | Some (recorded, deployed) ->
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  %s:1: metadata fingerprint mismatch: recorded %s, deployed %s — \
-          stream not judged (use `bastion replay --against` for a \
-          differential report)\n"
-         r.rp_file recorded deployed));
+  let ndiv = List.length r.rp_divergences in
+  Printf.bprintf buf "replay %s: %s — %d traps recorded, %d replayed, %d divergence%s\n"
+    r.rp_file (kind_str r.rp_header.Trace.h_kind) r.rp_traps_recorded
+    r.rp_traps_replayed ndiv (if ndiv = 1 then "" else "s");
+  Option.iter
+    (fun (recorded, deployed) ->
+      Printf.bprintf buf
+        "  %s:1: metadata fingerprint mismatch: recorded %s, deployed %s — \
+         stream not judged (use `bastion replay --against` for a \
+         differential report)\n"
+        r.rp_file recorded deployed)
+    r.rp_header_mismatch;
   List.iter
     (fun d ->
       let where =
         if d.dv_line = 0 then Printf.sprintf "%s: run" r.rp_file
         else Printf.sprintf "%s:%d: trap seq %d" r.rp_file d.dv_line d.dv_seq
       in
-      Buffer.add_string buf
-        (Printf.sprintf "  %s: %s: recorded %s, replayed %s\n" where d.dv_field
-           d.dv_recorded d.dv_replayed))
+      Printf.bprintf buf "  %s: %s: recorded %s, replayed %s\n" where d.dv_field
+        d.dv_recorded d.dv_replayed)
     r.rp_divergences;
   Buffer.contents buf
 
 let flip_to_json (f : flip) : Report.Json.t =
-  let open Report.Json in
-  Obj
-    [
-      ("line", Num (float_of_int f.fl_line));
-      ("seq", Num (float_of_int f.fl_seq));
-      ("sysno", Num (float_of_int f.fl_sysno));
-      ("sysname", Str f.fl_sysname);
-      ("rip", Str (Printf.sprintf "0x%Lx" f.fl_rip));
-      ("before", Str f.fl_before);
-      ("after", Str f.fl_after);
-    ]
+  Report.Json.(
+    Obj [ ("line", num f.fl_line); ("seq", num f.fl_seq); ("sysno", num f.fl_sysno);
+          ("sysname", Str f.fl_sysname); ("rip", Str (hex f.fl_rip));
+          ("before", Str f.fl_before); ("after", Str f.fl_after) ])
 
 let context_move_to_json (c : context_move) : Report.Json.t =
-  let open Report.Json in
-  Obj
-    [
-      ("line", Num (float_of_int c.cm_line));
-      ("seq", Num (float_of_int c.cm_seq));
-      ("sysname", Str c.cm_sysname);
-      ("before", Str c.cm_before);
-      ("after", Str c.cm_after);
-    ]
+  Report.Json.(
+    Obj [ ("line", num c.cm_line); ("seq", num c.cm_seq); ("sysname", Str c.cm_sysname);
+          ("before", Str c.cm_before); ("after", Str c.cm_after) ])
 
 let diff_report_to_json (r : diff_report) : Report.Json.t =
   let open Report.Json in
@@ -1004,101 +681,64 @@ let diff_report_to_json (r : diff_report) : Report.Json.t =
        ("same_metadata", Bool r.dr_same_metadata);
        ("ok", Bool (diff_ok r));
        ("traps",
-        Obj
-          [
-            ("recorded", Num (float_of_int r.dr_traps_recorded));
-            ("matched", Num (float_of_int r.dr_traps_matched));
-            ("moved_to_prefilter", Num (float_of_int r.dr_moved_to_prefilter));
-            ("fresh_unmatched", Num (float_of_int r.dr_fresh_unmatched));
-            ("unconsumed", Num (float_of_int r.dr_unconsumed_recorded));
-          ]);
+        Obj [ ("recorded", num r.dr_traps_recorded); ("matched", num r.dr_traps_matched);
+              ("moved_to_prefilter", num r.dr_moved_to_prefilter);
+              ("fresh_unmatched", num r.dr_fresh_unmatched);
+              ("unconsumed", num r.dr_unconsumed_recorded) ]);
        ("flips",
-        Obj
-          [
-            ("allow_to_deny", List (List.map flip_to_json r.dr_allow_to_deny));
-            ("deny_to_allow", List (List.map flip_to_json r.dr_deny_to_allow));
-          ]);
+        Obj [ ("allow_to_deny", List (List.map flip_to_json r.dr_allow_to_deny));
+              ("deny_to_allow", List (List.map flip_to_json r.dr_deny_to_allow)) ]);
        ("context_moves", List (List.map context_move_to_json r.dr_context_moves));
        ("tier_matrix",
         List
           (List.map
              (fun (before, after, count) ->
-               Obj
-                 [
-                   ("before", Str before);
-                   ("after", Str after);
-                   ("count", Num (float_of_int count));
-                 ])
+               Obj [ ("before", Str before); ("after", Str after); ("count", num count) ])
              r.dr_tier_matrix));
-       ("tier_moves", Num (float_of_int r.dr_tier_moves));
+       ("tier_moves", num r.dr_tier_moves);
        ("cycles",
-        Obj
-          [
-            ("recorded", Num (float_of_int r.dr_cycles_recorded));
-            ("replayed", Num (float_of_int r.dr_cycles_replayed));
-            ("trap_delta", Num (float_of_int r.dr_trap_cycle_delta));
-          ]);
+        Obj [ ("recorded", num r.dr_cycles_recorded); ("replayed", num r.dr_cycles_replayed);
+              ("trap_delta", num r.dr_trap_cycle_delta) ]);
      ]
-    @ match r.dr_run_outcome with
-      | None -> []
-      | Some msg -> [ ("run_outcome", Str msg) ])
+    @ match r.dr_run_outcome with None -> [] | Some msg -> [ ("run_outcome", Str msg) ])
 
 let render_diff (r : diff_report) : string =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "diff-replay %s: %s — recorded %s, against %s%s\n" r.dr_file
-       (kind_str r.dr_header.Trace.h_kind) r.dr_recorded_fp r.dr_against_fp
-       (if r.dr_same_metadata then " (metadata unchanged)" else ""));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  traps: %d recorded, %d matched, %d moved to prefilter, %d fresh \
-        unmatched, %d unconsumed\n"
-       r.dr_traps_recorded r.dr_traps_matched r.dr_moved_to_prefilter
-       r.dr_fresh_unmatched r.dr_unconsumed_recorded);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  verdict flips: %d allow->deny, %d deny->allow; context moves: %d\n"
-       (List.length r.dr_allow_to_deny)
-       (List.length r.dr_deny_to_allow)
-       (List.length r.dr_context_moves));
-  (if r.dr_tier_moves = 0 then
-     Buffer.add_string buf "  tiers: unchanged\n"
-   else begin
-     let moved =
-       List.filter_map
-         (fun (b, a, c) ->
-           if String.equal b a then None
-           else Some (Printf.sprintf "%s->%s x%d" b a c))
-         r.dr_tier_matrix
-     in
-     Buffer.add_string buf
-       (Printf.sprintf "  tiers: %d moved (%s)\n" r.dr_tier_moves
-          (String.concat ", " moved))
-   end);
-  Buffer.add_string buf
-    (Printf.sprintf "  cycles: %d recorded, %d replayed (trap delta %+d)\n"
-       r.dr_cycles_recorded r.dr_cycles_replayed r.dr_trap_cycle_delta);
+  Printf.bprintf buf "diff-replay %s: %s — recorded %s, against %s%s\n" r.dr_file
+    (kind_str r.dr_header.Trace.h_kind) r.dr_recorded_fp r.dr_against_fp
+    (if r.dr_same_metadata then " (metadata unchanged)" else "");
+  Printf.bprintf buf
+    "  traps: %d recorded, %d matched, %d moved to prefilter, %d fresh \
+     unmatched, %d unconsumed\n"
+    r.dr_traps_recorded r.dr_traps_matched r.dr_moved_to_prefilter
+    r.dr_fresh_unmatched r.dr_unconsumed_recorded;
+  Printf.bprintf buf "  verdict flips: %d allow->deny, %d deny->allow; context moves: %d\n"
+    (List.length r.dr_allow_to_deny) (List.length r.dr_deny_to_allow)
+    (List.length r.dr_context_moves);
+  if r.dr_tier_moves = 0 then Buffer.add_string buf "  tiers: unchanged\n"
+  else
+    Printf.bprintf buf "  tiers: %d moved (%s)\n" r.dr_tier_moves
+      (String.concat ", "
+         (List.filter_map
+            (fun (b, a, c) ->
+              if String.equal b a then None else Some (Printf.sprintf "%s->%s x%d" b a c))
+            r.dr_tier_matrix));
+  Printf.bprintf buf "  cycles: %d recorded, %d replayed (trap delta %+d)\n"
+    r.dr_cycles_recorded r.dr_cycles_replayed r.dr_trap_cycle_delta;
   let flip_line tag (f : flip) =
     let where =
       if f.fl_line = 0 then Printf.sprintf "%s: unmatched" r.dr_file
       else Printf.sprintf "%s:%d: trap seq %d" r.dr_file f.fl_line f.fl_seq
     in
-    Buffer.add_string buf
-      (Printf.sprintf "  %s: %s %s(%d) at %s: %s -> %s\n" where tag f.fl_sysname
-         f.fl_sysno
-         (Printf.sprintf "0x%Lx" f.fl_rip)
-         f.fl_before f.fl_after)
+    Printf.bprintf buf "  %s: %s %s(%d) at %s: %s -> %s\n" where tag f.fl_sysname
+      f.fl_sysno (hex f.fl_rip) f.fl_before f.fl_after
   in
   List.iter (flip_line "allow->deny") r.dr_allow_to_deny;
   List.iter (flip_line "deny->allow") r.dr_deny_to_allow;
   List.iter
     (fun (c : context_move) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %s:%d: trap seq %d: context moved: %s -> %s\n"
-           r.dr_file c.cm_line c.cm_seq c.cm_before c.cm_after))
+      Printf.bprintf buf "  %s:%d: trap seq %d: context moved: %s -> %s\n" r.dr_file
+        c.cm_line c.cm_seq c.cm_before c.cm_after)
     r.dr_context_moves;
-  (match r.dr_run_outcome with
-  | None -> ()
-  | Some msg ->
-    Buffer.add_string buf (Printf.sprintf "  run outcome: %s\n" msg));
+  Option.iter (Printf.bprintf buf "  run outcome: %s\n") r.dr_run_outcome;
   Buffer.contents buf

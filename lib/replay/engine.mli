@@ -8,17 +8,32 @@
     snapshot are *injected from the trace* (via the monitor's
     {!Bastion.Monitor.trap_source}, charging identical modelled costs)
     instead of read from the tracee.  The monitor re-judges each trap
-    with its real verification path; the engine compares the fresh
-    event against the recorded one field by field and reports
-    divergences with trace line numbers.  Control flow always follows
-    the *recorded* verdict, so one corrupted record cannot derail the
-    comparison of everything after it.
+    with its real verification path.
 
-    The metadata fingerprint is a hard gate for *strict* replay: a
-    trace recorded against a different bundle is reported as a header
-    mismatch and never judged.  {!diff_replay} is the other mode: it
-    embraces a changed bundle and reports what moved — verdict flips,
-    denial-context changes, tier movements, cycle deltas. *)
+    There is one engine.  One session runner re-executes the run with
+    one injection source and one wrapped tracer hook; during the run
+    the hook only aligns each fresh trap with a recorded one, logs the
+    pair (plus any unmatched or pre-filter-moved trap) and follows the
+    *recorded* verdict.  After the run two pure functions build the
+    reports from that log: {!replay} compares fields and run-level
+    totals ("is this stream unchanged?"), {!diff_replay} counts verdict
+    flips, denial-context moves and tier movements ("what moved?").
+
+    The entry point fixes everything that differs between the two; no
+    caller sets it:
+    - {b Fingerprint gate.}  {!replay} never judges a trace recorded
+      against a different bundle (a header mismatch); {!diff_replay}
+      exists to judge exactly that.
+    - {b Alignment.}  {!replay} aligns traps by position, so one
+      corrupted record cannot derail the comparison of everything after
+      it.  {!diff_replay} also requires the recorded [(sysno, rip)] to
+      equal the live trap's, because changed metadata can move traps
+      across the seccomp pre-filter and the two streams can genuinely
+      differ.
+    - {b Unmatched fresh traps.}  {!replay} follows the fresh verdict on
+      a trap past the end of the recorded stream: there is no recorded
+      behaviour to follow.  {!diff_replay} allows it, because the
+      recorded run's pre-filter allowed it. *)
 
 (** {1 Name registries}
 
@@ -39,6 +54,22 @@ val app_of : name:string -> scale:string -> (Workloads.Drivers.app, string) resu
 val attack_of : id:string -> (Attacks.Attack.t, string) result
 
 (** {1 Recording} *)
+
+(** Ring capacity of a recorder whose stream becomes a trace: large
+    enough that a default-scale run never drops events. *)
+val recording_ring_capacity : int
+
+(** Write the trace of a finished workload run: the header (built from
+    the run's knobs, the measurement's defense, monitor fingerprint and
+    cycle total, and the recorder's trap count) followed by the
+    recorder's JSONL stream.  Returns the header written.  The CLI's
+    [run --audit] sink and {!record_run} share it.
+    @raise Failure if the recorder dropped events — such a trace would
+    not replay, so nothing is written. *)
+val write_run_trace :
+  recorder:Obs.Recorder.t -> trap_cache:bool -> pre_resolve:bool ->
+  prefilter:Kernel.Seccomp.flow_mode option -> app:string -> scale:string ->
+  path:string -> Workloads.Drivers.measurement -> Trace.header
 
 (** Run a workload with the flight recorder armed and write the trace
     (header + JSONL stream) to [path]; returns the live measurement.

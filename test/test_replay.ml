@@ -313,6 +313,56 @@ let test_cycle_total_divergence () =
   | [ d ] -> Alcotest.(check string) "field" "total-cycles" d.dv_field
   | ds -> Alcotest.failf "expected 1 divergence, got %d" (List.length ds)
 
+(* A golden trace whose last two trap records are cut from the parsed
+   stream (the header still vouches for the whole run). *)
+let tail_truncated file =
+  let tr = Trace.read_string ~file:"truncated.jsonl" (read_whole file) in
+  let keep = List.length tr.t_events - 2 in
+  { tr with t_events = List.filteri (fun i _ -> i < keep) tr.t_events }
+
+let fields (r : Engine.report) = List.map (fun (d : Engine.divergence) -> d.dv_field) r.rp_divergences
+
+(* Run-level divergences come after the per-trap ones, in a fixed
+   order: extra-trap, run-outcome, missing-traps, extra-traps,
+   total-cycles.  A tail-truncated stream replays two traps past its
+   end; a corrupted verdict kills the run early. *)
+let test_run_level_divergence_order () =
+  let r = Engine.replay ~strict:true (tail_truncated "golden/nginx-benign.jsonl") in
+  Alcotest.(check (list string)) "truncated: divergence rows" [ "extra-trap"; "extra-traps" ]
+    (fields r);
+  Alcotest.(check int) "truncated: traps recorded" 5 r.rp_traps_recorded;
+  Alcotest.(check int) "truncated: traps replayed" 7 r.rp_traps_replayed;
+  (match r.rp_divergences with
+  | first :: _ ->
+    Alcotest.(check string) "first extra trap" "accept4(288) at cycle 419117" first.dv_replayed
+  | [] -> Alcotest.fail "no divergences reported");
+  let tampered =
+    replace_once ~sub:"\"verdict\":\"allowed\""
+      ~by:"\"verdict\":\"denied\",\"context\":\"CT\",\"detail\":\"tampered\""
+      (read_whole "golden/nginx-benign.jsonl")
+  in
+  let r = Engine.replay ~strict:true (Trace.read_string ~file:"tampered.jsonl" tampered) in
+  Alcotest.(check (list string)) "tampered: divergence rows"
+    [ "verdict"; "run-outcome"; "missing-traps"; "total-cycles" ] (fields r);
+  Alcotest.(check int) "tampered: traps replayed" 1 r.rp_traps_replayed
+
+(* The audit sink fails closed: a recorder whose ring dropped events
+   would write a trace the reader rejects, so nothing is written. *)
+let test_dropped_recording_refused () =
+  with_temp_trace (fun path ->
+      Sys.remove path;
+      let app = Result.get_ok (Engine.app_of ~name:"vsftpd" ~scale:"small") in
+      let recorder = Obs.Recorder.create ~tracing:true ~ring_capacity:4 () in
+      let m = Drivers.run ~recorder app Drivers.Bastion_full in
+      Alcotest.(check bool) "ring dropped events" true (Obs.Recorder.events_dropped recorder > 0);
+      (match
+         Engine.write_run_trace ~recorder ~trap_cache:true ~pre_resolve:false
+           ~prefilter:None ~app:"vsftpd" ~scale:"small" ~path m
+       with
+      | _ -> Alcotest.fail "a dropped recording was written"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "no trace file" false (Sys.file_exists path))
+
 (* --- differential replay ---------------------------------------------- *)
 
 let flip_count (r : Engine.diff_report) =
@@ -486,6 +536,59 @@ let test_diff_enrichment_moves_tiers () =
       Alcotest.(check bool) "fresh judging got cheaper" true
         (r.dr_trap_cycle_delta < 0))
 
+(* Diff replay of tampered streams under unchanged metadata.  The
+   corrupted verdict is one deny->allow flip on its own line, and
+   following the recorded deny kills the run; the tail-truncated stream
+   leaves two fresh traps without a recorded counterpart. *)
+let test_diff_tampered_streams () =
+  let text = read_whole "golden/nginx-benign.jsonl" in
+  let tampered =
+    replace_once ~sub:"\"verdict\":\"allowed\""
+      ~by:"\"verdict\":\"denied\",\"context\":\"CT\",\"detail\":\"tampered\"" text
+  in
+  let corrupt_line =
+    1 + Option.get (List.find_index (fun l -> Astring.String.is_infix ~affix:"tampered" l)
+                      (String.split_on_char '\n' tampered))
+  in
+  let r = Engine.diff_replay (Trace.read_string ~file:"tampered.jsonl" tampered) in
+  Alcotest.(check bool) "same metadata" true r.dr_same_metadata;
+  Alcotest.(check bool) "diff not ok" false (Engine.diff_ok r);
+  Alcotest.(check int) "no allow->deny flips" 0 (List.length r.dr_allow_to_deny);
+  (match r.dr_deny_to_allow with
+  | [ f ] ->
+    Alcotest.(check int) "flip on the tampered line" corrupt_line f.fl_line;
+    Alcotest.(check int) "flip seq" 0 f.fl_seq;
+    Alcotest.(check string) "before" "denied[CT: tampered]" f.fl_before;
+    Alcotest.(check string) "after" "allowed" f.fl_after
+  | fs -> Alcotest.failf "expected one deny->allow flip, got %d" (List.length fs));
+  Alcotest.(check (option string)) "run outcome"
+    (Some "NGINX under CET+CT+CF+AI: BASTION monitor kill: CT context violated (tampered)")
+    r.dr_run_outcome;
+  Alcotest.(check int) "matched before the kill" 1 r.dr_traps_matched;
+  Alcotest.(check int) "unconsumed after the kill" 6 r.dr_unconsumed_recorded;
+  let r = Engine.diff_replay (tail_truncated "golden/nginx-benign.jsonl") in
+  Alcotest.(check int) "truncated: fresh unmatched" 2 r.dr_fresh_unmatched;
+  Alcotest.(check int) "truncated: matched" 5 r.dr_traps_matched;
+  Alcotest.(check int) "truncated: nothing unconsumed" 0 r.dr_unconsumed_recorded;
+  Alcotest.(check int) "truncated: no flips" 0 (flip_count r);
+  Alcotest.(check int) "truncated: two prefilter->full moves" 2 r.dr_tier_moves;
+  Alcotest.(check bool) "truncated: diff ok" true (Engine.diff_ok r)
+
+(* The committed `make diff-golden` artifact regenerates byte for byte:
+   the six golden traces in the Makefile's order, labelled with their
+   repository paths. *)
+let test_diff_golden_artifact () =
+  let reports =
+    List.map
+      (fun file ->
+        let tr = Trace.read_file file in
+        Engine.diff_report_to_json (Engine.diff_replay { tr with t_file = "test/" ^ file }))
+      golden_files
+  in
+  Alcotest.(check string) "DIFF_replay_golden.json regenerates byte-identically"
+    (read_whole "../DIFF_replay_golden.json")
+    (Report.Json.to_string (Report.Json.List reports))
+
 (* The regression oracle CI runs: every checked-in golden trace
    diff-replays clean against the current in-tree compile pass. *)
 let test_golden_diff_oracle () =
@@ -523,6 +626,10 @@ let suites =
           test_fingerprint_gate;
         Alcotest.test_case "cycle-total tamper is a run divergence" `Quick
           test_cycle_total_divergence;
+        Alcotest.test_case "run-level divergences keep their order" `Quick
+          test_run_level_divergence_order;
+        Alcotest.test_case "dropped recording is refused" `Quick
+          test_dropped_recording_refused;
         Alcotest.test_case "diff-replay: same metadata is a clean oracle" `Quick
           test_diff_same_metadata;
         Alcotest.test_case "diff-replay: dropped pre-resolution moves tiers"
@@ -535,6 +642,10 @@ let suites =
           test_diff_enrichment_moves_tiers;
         Alcotest.test_case "diff-replay: golden corpus is the oracle" `Quick
           test_golden_diff_oracle;
+        Alcotest.test_case "diff-replay: tampered streams, same metadata" `Quick
+          test_diff_tampered_streams;
+        Alcotest.test_case "diff-replay: golden artifact is byte-identical" `Quick
+          test_diff_golden_artifact;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_record_replay_equivalence; prop_bitflip_total ] );
