@@ -56,6 +56,76 @@ let live_source =
     ts_snapshot = (fun tracer ~slot_span -> Ptrace.snapshot tracer ~slot_span);
   }
 
+(* ------------------------------------------------------------------ *)
+(* Metadata decoded once per monitor.  The trap path never re-hashes a
+   function name into the cache key or walks an association list: each
+   frame resolves to a function record and a callsite record once per
+   trap, and every check reads those. *)
+
+module Addr_tbl = Machine.Memory.Addr_tbl
+
+module Name_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* One function: its cache-key name hash and its sensitive locals. *)
+type func_rec = {
+  fn_name : string;
+  fn_hash : int64;               (* [Verdict_cache.hash_string fn_name] *)
+  fn_slots : int array;          (* sensitive-slot word offsets *)
+  fn_span : (int * int) option;  (* their (lo, hi), built once *)
+}
+
+(* How one argument position's legitimate value is found, in the order
+   the monitor tries them. *)
+type arg_check =
+  | Check_const of int64  (* [Spec_const] *)
+  | Check_pre of int64    (* pre-resolved [Spec_mem] *)
+  | Check_mem of {
+      ctx : (int * int64) array;  (* (caller callsite id, constant) *)
+      rank : bool option;         (* taint rank, [true] = tainted *)
+      cheap : Metadata.cheap_recipe option;
+          (* set only when untainted and the cheap path is on *)
+      binding : int64;            (* binding-table key of (site, position) *)
+    }
+
+(* What the syscall identity says to do with the pointee (§6.3.2). *)
+type pointee = Value_only | Sockaddr_read | Extended_scan
+
+type arg_rec = { ar_pos : int; ar_check : arg_check; ar_pointee : pointee }
+
+(* One traced callsite. *)
+type site_rec = {
+  st_id : int;
+  st_callee : string;
+  st_sysno : int option;
+  st_dead : bool;
+  st_args : arg_rec array;  (* metadata order *)
+}
+
+(* One sensitive global region and its word addresses. *)
+type global_rec = { gl_name : string; gl_addr : int64; gl_words : int64 array }
+
+type decoded = {
+  defined : (string, Sil.Func.t) Hashtbl.t;  (* the program's functions *)
+  func_slots : (string, int list) Hashtbl.t;  (* [Metadata.func_slots] *)
+  funcs : func_rec Name_tbl.t;  (* built on a function's first trap *)
+  sites : site_rec Addr_tbl.t;
+  globals : global_rec array;
+  (* The trap in flight, innermost frame first: each frame's records,
+     name hash and return token. *)
+  mutable fr_funcs : func_rec array;
+  mutable fr_sites : site_rec array;
+  mutable fr_hashes : int64 array;
+  mutable fr_tokens : int64 option array;
+  mutable fr_seen : int;  (* frames the snapshot's slot-span query resolved *)
+  span_query : string -> (int * int) option;
+      (* the snapshot's slot-span query, which also resolves the frame *)
+}
+
 type t = {
   meta : Metadata.t;
   runtime : Runtime.t;
@@ -90,9 +160,142 @@ type t = {
   mutable depth_min : int;
   mutable depth_max : int;
   mutable depth_samples : int;
+  dec : decoded;
 }
 
 exception Deny of string * string  (** context, detail *)
+
+let build_func name offsets =
+  let fn_slots = Array.of_list offsets in
+  let fn_span =
+    match offsets with
+    | [] -> None
+    | first :: _ ->
+      Some (List.fold_left min first offsets, List.fold_left max first offsets)
+  in
+  { fn_name = name; fn_hash = Verdict_cache.hash_string name; fn_slots; fn_span }
+
+(* Each position decodes exactly as the trap-time association lookups
+   used to resolve it: first binding wins. *)
+let decode_site (config : config) (e : Metadata.cs_entry) =
+  let arg (pos, spec) =
+    let ar_check =
+      match spec with
+      | Metadata.Spec_const c -> Check_const c
+      | Metadata.Spec_mem when List.mem_assoc pos e.e_pre -> Check_pre (List.assoc pos e.e_pre)
+      | Metadata.Spec_mem ->
+        let rank = List.assoc_opt pos e.e_ranks in
+        Check_mem
+          {
+            ctx = Array.of_list (Option.value ~default:[] (List.assoc_opt pos e.e_pre_ctx));
+            rank;
+            cheap =
+              (match rank with
+              | Some false when config.taint_cheap_path -> List.assoc_opt pos e.e_cheap
+              | _ -> None);
+            binding = Shadow_memory.binding_key ~id:e.e_id ~pos;
+          }
+    in
+    let ar_pointee =
+      match e.e_sysno with
+      | None -> Value_only
+      | Some nr -> (
+        match Arg_rules.kind ~sysno:nr ~pos with
+        | Arg_rules.Direct -> Value_only
+        | Arg_rules.Sockaddr when config.sockaddr_fastpath -> Sockaddr_read
+        | Arg_rules.Sockaddr | Arg_rules.Extended -> Extended_scan)
+    in
+    { ar_pos = pos; ar_check; ar_pointee }
+  in
+  { st_id = e.e_id; st_callee = e.e_callee; st_sysno = e.e_sysno; st_dead = e.e_dead;
+    st_args = Array.of_list (List.map arg e.e_specs) }
+
+(* A frame whose callsite carries no metadata. *)
+let no_site = { st_id = -1; st_callee = ""; st_sysno = None; st_dead = false; st_args = [||] }
+
+let no_func = build_func "" []
+
+(* A function's record is built the first time a trap meets it: a
+   session meets a few dozen of a program's hundreds of functions.  A
+   name neither the program nor the metadata defines (a replayed or
+   tampered frame) gets a fresh record each time, the same cache-key
+   hash and no slots, so hostile input cannot grow the table. *)
+let find_func (d : decoded) name =
+  match Name_tbl.find d.funcs name with
+  | r -> r
+  | exception Not_found ->
+    let slots = Hashtbl.find_opt d.func_slots name in
+    let r = build_func name (Option.value ~default:[] slots) in
+    if Option.is_some slots || Hashtbl.mem d.defined name then Name_tbl.replace d.funcs name r;
+    r
+
+let find_site (d : decoded) addr =
+  match Addr_tbl.find d.sites addr with s -> s | exception Not_found -> no_site
+
+let ensure_depth (d : decoded) n =
+  let cap = Array.length d.fr_funcs in
+  if n > cap then begin
+    let grow a fill =
+      let b = Array.make (max n (2 * cap)) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    d.fr_funcs <- grow d.fr_funcs no_func;
+    d.fr_sites <- grow d.fr_sites no_site;
+    d.fr_hashes <- grow d.fr_hashes 0L;
+    d.fr_tokens <- grow d.fr_tokens None
+  end
+
+let note_span (d : decoded) name =
+  let fn = find_func d name in
+  let i = d.fr_seen in
+  ensure_depth d (i + 1);
+  d.fr_funcs.(i) <- fn;
+  d.fr_seen <- i + 1;
+  fn.fn_span
+
+(* Resolve each frame once per trap, filling the per-trap arrays from
+   [i] on; returns the depth.  A frame reuses the function record the
+   slot-span query resolved for it when that record names it (always,
+   on a live snapshot; a recorded snapshot is never queried). *)
+let rec resolve_frames (d : decoded) i = function
+  | [] -> i
+  | (fv : Ptrace.frame_view) :: rest ->
+    ensure_depth d (i + 1);
+    let fn =
+      if i < d.fr_seen && String.equal d.fr_funcs.(i).fn_name fv.fv_func then
+        d.fr_funcs.(i)
+      else find_func d fv.fv_func
+    in
+    d.fr_funcs.(i) <- fn;
+    d.fr_hashes.(i) <- fn.fn_hash;
+    d.fr_tokens.(i) <- fv.fv_ret_token;
+    d.fr_sites.(i) <- find_site d fv.fv_callsite;
+    resolve_frames d (i + 1) rest
+
+let decode (meta : Metadata.t) config (machine : Machine.t) =
+  let sites = Addr_tbl.create 64 in
+  Hashtbl.iter
+    (fun addr _ ->
+      if not (Addr_tbl.mem sites addr) then
+        Addr_tbl.replace sites addr (decode_site config (Hashtbl.find meta.cs_by_addr addr)))
+    meta.cs_by_addr;
+  let globals =
+    Array.of_list
+      (List.map
+         (fun (gl_name, gl_addr, words) ->
+           { gl_name; gl_addr; gl_words = Array.init words (Machine.Memory.addr_add gl_addr) })
+         meta.checked_globals)
+  in
+  let depth = 64 in
+  let fr_funcs = Array.make depth no_func and fr_sites = Array.make depth no_site in
+  let fr_hashes = Array.make depth 0L and fr_tokens = Array.make depth None in
+  let rec d =
+    { defined = machine.prog.funcs; func_slots = meta.func_slots; funcs = Name_tbl.create 64;
+      sites; globals; fr_funcs; fr_sites; fr_hashes; fr_tokens; fr_seen = 0;
+      span_query = (fun name -> note_span d name) }
+  in
+  d
 
 let create ?recorder ~(meta : Metadata.t) ~(runtime : Runtime.t) ~config
     (machine : Machine.t) =
@@ -121,6 +324,7 @@ let create ?recorder ~(meta : Metadata.t) ~(runtime : Runtime.t) ~config
     depth_min = max_int;
     depth_max = 0;
     depth_samples = 0;
+    dec = decode meta config machine;
   }
 
 let set_recorder (t : t) r = t.recorder <- r
@@ -138,15 +342,16 @@ let note_tier (t : t) tier =
 
 (* Shadow-memory access from the monitor side.  The shadow region is
    mapped *shared* between the application and the monitor (§7.1), so
-   lookups are local probes, not remote reads. *)
-let shadow_lookup (t : t) addr =
-  let value, probes = Shadow_memory.find_probes t.runtime.shadow addr in
+   lookups are local probes, not remote reads.  Returns the entry's
+   slot index, or -1 when absent; {!shadow_value} reads it. *)
+let shadow_find (t : t) addr =
+  let shadow = t.runtime.shadow in
+  let i = Shadow_memory.find_index shadow addr in
   Machine.charge t.machine
-    (t.machine.config.cost.monitor_check + (2 * probes));
-  value
+    (t.machine.config.cost.monitor_check + (2 * Shadow_memory.last_probes shadow));
+  i
 
-let binding_lookup (t : t) ~id ~pos =
-  shadow_lookup t (Shadow_memory.binding_key ~id ~pos)
+let shadow_value (t : t) i = Shadow_memory.value_at t.runtime.shadow i
 
 let in_rodata addr =
   addr >= Machine.Layout.rodata_base && addr < Machine.Layout.data_base
@@ -254,257 +459,217 @@ let check_control_flow (t : t) (tracer : Ptrace.t) (regs : Ptrace.regs)
 (* ------------------------------------------------------------------ *)
 (* Argument-Integrity context (§7.4)                                   *)
 
+let deny_ai detail = raise (Deny ("argument-integrity", detail))
+
+let corrupted (site : site_rec) pos legit actual =
+  deny_ai
+    (Printf.sprintf "argument %d of %s corrupted (expected %Ld, got %Ld)" pos
+       site.st_callee legit actual)
+
 let check_extended (t : t) (tracer : Ptrace.t) ~(ptr : int64) =
   (* Verify pointee contents word by word against the shadow.  Rodata is
      write-protected (DEP), so contents there are trusted after a bounded
      cost-only scan. *)
-  if in_rodata ptr then begin
-    let s = Ptrace.read_string tracer ptr in
-    ignore s
-  end
+  if in_rodata ptr then ignore (Ptrace.read_string tracer ptr)
   else begin
     (* One batched remote read of the pointee region, then compare each
        word up to the NUL terminator against its shadow. *)
     let words = Ptrace.read_block tracer ptr Arg_rules.max_extended_words in
-    let rec scan i =
-      if i >= Array.length words then ()
-      else
-        let actual = words.(i) in
-        if Int64.equal actual 0L then ()
-        else begin
-          let a = Machine.Memory.addr_add ptr i in
-          (match shadow_lookup t a with
-          | Some legit when Int64.equal legit actual -> ()
-          | Some _ ->
-            raise (Deny ("argument-integrity", "extended argument contents corrupted"))
-          | None ->
-            raise (Deny ("argument-integrity", "extended argument contents untraced")));
-          scan (i + 1)
-        end
-    in
-    scan 0
+    let i = ref 0 in
+    while !i < Array.length words && not (Int64.equal words.(!i) 0L) do
+      let j = shadow_find t (Machine.Memory.addr_add ptr !i) in
+      if j < 0 then deny_ai "extended argument contents untraced";
+      if not (Int64.equal (shadow_value t j) words.(!i)) then
+        deny_ai "extended argument contents corrupted";
+      incr i
+    done
   end
 
-let check_callsite_args (t : t) (tracer : Ptrace.t) (entry : Metadata.cs_entry)
-    (frame : Ptrace.frame_view) ~(caller : Ptrace.frame_view option) =
-  (* Dynamic verification of one Spec_mem slot, the full two-lookup
-     path: binding table, then shadow. *)
-  let full_mem_check pos actual =
-    note_tier t Obs.Event.Tier_full;
-    match binding_lookup t ~id:entry.e_id ~pos with
-    | None ->
-      raise
-        (Deny
-           ( "argument-integrity",
-             Printf.sprintf "argument %d of %s was never bound" pos entry.e_callee ))
-    | Some addr -> (
-      match shadow_lookup t addr with
-      | None ->
-        raise
-          (Deny
-             ( "argument-integrity",
-               Printf.sprintf "argument %d of %s is untraced" pos entry.e_callee ))
-      | Some legit ->
-        if not (Int64.equal legit actual) then
-          raise
-            (Deny
-               ( "argument-integrity",
-                 Printf.sprintf "argument %d of %s corrupted (expected %Ld, got %Ld)"
-                   pos entry.e_callee legit actual )))
-  in
-  (* The per-caller constant for this position, if the trap's caller
-     frame maps to a callsite with a context record.  An unknown or
-     unlisted caller is not a violation by itself — the slot just falls
-     back to the dynamic path (and the CF context has already judged
-     the stack). *)
-  let ctx_constant pos =
-    match (List.assoc_opt pos entry.e_pre_ctx, caller) with
-    | Some alts, Some c -> (
-      match Hashtbl.find_opt t.meta.cs_by_addr c.fv_callsite with
-      | Some caller_entry -> List.assoc_opt caller_entry.Metadata.e_id alts
-      | None -> None)
-    | _ -> None
-  in
-  List.iter
-    (fun ((pos, spec) : int * Metadata.arg_spec) ->
-      charge_check t;
-      let actual = if pos < Array.length frame.fv_args then frame.fv_args.(pos) else 0L in
-      (match spec with
-      | Metadata.Spec_const c ->
-        if not (Int64.equal actual c) then
-          raise
-            (Deny
-               ( "argument-integrity",
-                 Printf.sprintf "constant argument %d of %s corrupted" pos entry.e_callee
-               ))
-      | Metadata.Spec_mem when List.mem_assoc pos entry.e_pre ->
-        (* Pre-resolved slot: the compiler proved the argument constant
-           along all paths, so the static constant *is* the legitimate
-           value — compare directly, skipping the binding-table and
-           shadow probes (two priced lookups saved per slot). *)
-        let legit = List.assoc pos entry.e_pre in
-        t.pre_resolved_hits <- t.pre_resolved_hits + 1;
-        note_tier t Obs.Event.Tier_pre_resolved;
-        if not (Int64.equal legit actual) then
-          raise
-            (Deny
-               ( "argument-integrity",
-                 Printf.sprintf "argument %d of %s corrupted (expected %Ld, got %Ld)"
-                   pos entry.e_callee legit actual ))
-      | Metadata.Spec_mem -> (
-        match ctx_constant pos with
-        | Some legit ->
-          (* 1-context pre-resolved slot: constant per caller, matched
-             against the caller frame's callsite — still no probes. *)
-          t.ctx_hits <- t.ctx_hits + 1;
-          note_tier t Obs.Event.Tier_ctx;
-          if not (Int64.equal legit actual) then
-            raise
-              (Deny
-                 ( "argument-integrity",
-                   Printf.sprintf "argument %d of %s corrupted (expected %Ld, got %Ld)"
-                     pos entry.e_callee legit actual ))
-        | None -> (
-          let rank = List.assoc_opt pos entry.e_ranks in
-          (match rank with
-          | Some true -> t.ai_tainted <- t.ai_tainted + 1
-          | Some false -> t.ai_untainted <- t.ai_untainted + 1
-          | None -> ());
-          let cheap =
-            match rank with
-            | Some false when t.config.taint_cheap_path ->
-              List.assoc_opt pos entry.e_cheap
-            | _ -> None
-          in
-          match cheap with
-          | Some recipe -> (
+(* The index of the first per-caller constant admissible for
+   [caller]'s callsite, or -1.  An unknown or unlisted caller is not a
+   violation by itself: the slot falls back to the dynamic path (and
+   the CF context has already judged the stack). *)
+let ctx_index ctx (caller : site_rec) =
+  if caller == no_site then -1
+  else begin
+    let c = ref (-1) and k = ref 0 in
+    while !c < 0 && !k < Array.length ctx do
+      if fst ctx.(!k) = caller.st_id then c := !k;
+      incr k
+    done;
+    !c
+  end
+
+(* Verify the bound arguments of the call [frame] has in flight at
+   [site]; [caller] is the caller frame's callsite record. *)
+let check_callsite_args (t : t) (tracer : Ptrace.t) (site : site_rec)
+    (frame : Ptrace.frame_view) ~(caller : site_rec) =
+  for k = 0 to Array.length site.st_args - 1 do
+    let { ar_pos = pos; ar_check; ar_pointee } = site.st_args.(k) in
+    charge_check t;
+    let actual = if pos < Array.length frame.fv_args then frame.fv_args.(pos) else 0L in
+    (match ar_check with
+    | Check_const c ->
+      if not (Int64.equal actual c) then
+        deny_ai
+          (Printf.sprintf "constant argument %d of %s corrupted" pos site.st_callee)
+    | Check_pre legit ->
+      (* Pre-resolved slot: the compiler proved the argument constant
+         along all paths, so the static constant *is* the legitimate
+         value — compare directly, skipping the binding-table and
+         shadow probes (two priced lookups saved per slot). *)
+      t.pre_resolved_hits <- t.pre_resolved_hits + 1;
+      note_tier t Obs.Event.Tier_pre_resolved;
+      if not (Int64.equal legit actual) then corrupted site pos legit actual
+    | Check_mem m ->
+      let c = ctx_index m.ctx caller in
+      if c >= 0 then begin
+        (* 1-context pre-resolved slot: constant per caller, matched
+           against the caller frame's callsite — still no probes. *)
+        t.ctx_hits <- t.ctx_hits + 1;
+        note_tier t Obs.Event.Tier_ctx;
+        let legit = snd m.ctx.(c) in
+        if not (Int64.equal legit actual) then corrupted site pos legit actual
+      end
+      else begin
+        (match m.rank with
+        | Some true -> t.ai_tainted <- t.ai_tainted + 1
+        | Some false -> t.ai_untainted <- t.ai_untainted + 1
+        | None -> ());
+        let j =
+          match m.cheap with
+          | Some recipe ->
             (* Untainted slot: the bound object's address is statically
                known, so the expected value is one shadow probe away —
                the binding-table lookup is skipped.  Denial semantics
                are identical to the full path: a missing shadow entry
                still means untraced, a mismatch still means corrupted. *)
             note_tier t Obs.Event.Tier_cheap;
-            let a =
-              match recipe with
+            shadow_find t
+              (match recipe with
               | Metadata.Cheap_frame off -> Machine.Memory.addr_add frame.fv_base off
-              | Metadata.Cheap_global g -> g
-            in
-            match shadow_lookup t a with
-            | None ->
-              raise
-                (Deny
-                   ( "argument-integrity",
-                     Printf.sprintf "argument %d of %s is untraced" pos entry.e_callee ))
-            | Some legit ->
-              if not (Int64.equal legit actual) then
-                raise
-                  (Deny
-                     ( "argument-integrity",
-                       Printf.sprintf
-                         "argument %d of %s corrupted (expected %Ld, got %Ld)" pos
-                         entry.e_callee legit actual )))
-          | None -> full_mem_check pos actual)));
-      (* Direct vs extended handling is recovered from the syscall
-         identity (§6.3.2), not from instrumentation. *)
-      match entry.e_sysno with
-      | None -> ()
-      | Some nr -> (
-        match Arg_rules.kind ~sysno:nr ~pos with
-        | Arg_rules.Direct -> ()
-        | Arg_rules.Sockaddr when t.config.sockaddr_fastpath ->
-          (* Specialised sockaddr verification: one fixed-size read. *)
-          if not (Int64.equal actual 0L) then ignore (Ptrace.read_block tracer actual 2)
-        | Arg_rules.Sockaddr | Arg_rules.Extended ->
-          if not (Int64.equal actual 0L) then check_extended t tracer ~ptr:actual))
-    entry.e_specs
+              | Metadata.Cheap_global g -> g)
+          | None ->
+            (* The full two-lookup path: binding table, then shadow. *)
+            note_tier t Obs.Event.Tier_full;
+            let b = shadow_find t m.binding in
+            if b < 0 then
+              deny_ai
+                (Printf.sprintf "argument %d of %s was never bound" pos site.st_callee);
+            shadow_find t (shadow_value t b)
+        in
+        if j < 0 then
+          deny_ai (Printf.sprintf "argument %d of %s is untraced" pos site.st_callee);
+        let legit = shadow_value t j in
+        if not (Int64.equal legit actual) then corrupted site pos legit actual
+      end);
+    (* Direct vs extended handling is recovered from the syscall
+       identity (§6.3.2), not from instrumentation. *)
+    match ar_pointee with
+    | Value_only -> ()
+    | Sockaddr_read ->
+      (* Specialised sockaddr verification: one fixed-size read. *)
+      if not (Int64.equal actual 0L) then ignore (Ptrace.read_block tracer actual 2)
+    | Extended_scan ->
+      if not (Int64.equal actual 0L) then check_extended t tracer ~ptr:actual
+  done
+
+(* Sweep one frame's sensitive locals against the prefetched span.  A
+   span that does not cover a slot (a corrupt or foreign recorded
+   snapshot) fails closed. *)
+let check_slots (t : t) (fn : func_rec) (frame : Ptrace.frame_view)
+    (slots : Ptrace.frame_slots) =
+  for k = 0 to Array.length fn.fn_slots - 1 do
+    let off = fn.fn_slots.(k) in
+    charge_check t;
+    let i = off - slots.sl_lo in
+    if i < 0 || i >= Array.length slots.sl_span then
+      deny_ai
+        (Printf.sprintf "sensitive variable at %s+%d is outside the fetched slot span"
+           frame.fv_func off);
+    let actual = slots.sl_span.(i) in
+    let j = shadow_find t (Machine.Memory.addr_add frame.fv_base off) in
+    if j >= 0 && not (Int64.equal (shadow_value t j) actual) then
+      deny_ai
+        (Printf.sprintf "sensitive variable at %s+%d corrupted" frame.fv_func off)
+  done
+
+let no_slots = { Ptrace.sl_lo = 0; sl_span = [||] }
+
+let rec slots_at base = function
+  | [] -> no_slots
+  | ((b, s) : int64 * Ptrace.frame_slots) :: rest ->
+    if Int64.equal b base then s else slots_at base rest
+
+(* Per frame, innermost first: verify the bound arguments of the call
+   the frame has in flight, then sweep the frame's sensitive locals.
+   The slot spans were prefetched by the snapshot's coalesced read; the
+   records were resolved once for the trap (frame [i + 1] is frame
+   [i]'s caller, whose callsite context pre-resolution matches). *)
+let rec check_frames (t : t) tracer (snap : Ptrace.snapshot) ~depth i = function
+  | [] -> ()
+  | (frame : Ptrace.frame_view) :: rest ->
+    let d = t.dec in
+    let site = d.fr_sites.(i) in
+    if site != no_site then
+      check_callsite_args t tracer site frame
+        ~caller:(if i + 1 < depth then d.fr_sites.(i + 1) else no_site);
+    let fn = d.fr_funcs.(i) in
+    if Array.length fn.fn_slots > 0 then begin
+      let slots = slots_at frame.fv_base snap.sn_slots in
+      if slots != no_slots then check_slots t fn frame slots
+    end;
+    check_frames t tracer snap ~depth (i + 1) rest
 
 let check_argument_integrity (t : t) (tracer : Ptrace.t) (regs : Ptrace.regs)
-    (snap : Ptrace.snapshot) =
+    (snap : Ptrace.snapshot) ~depth =
   (* The trapping callsite itself must carry argument metadata *for the
      trapped syscall*: a sensitive syscall invoked from a callsite the
      compiler never bound for it has, by definition, untraced arguments
      (§10.2). *)
-  (match Hashtbl.find_opt t.meta.cs_by_addr regs.rip with
-  | Some entry when entry.e_sysno = Some regs.sysno ->
+  let site = find_site t.dec regs.rip in
+  (match site.st_sysno with
+  | Some nr when nr = regs.sysno ->
     (* Dead-site record: the conditional-constant analysis proved no
        benign execution reaches this callsite, so *any* trap here is an
        attack — denied before a single probe is spent. *)
-    if entry.e_dead then
-      raise
-        (Deny
-           ( "argument-integrity",
-             "syscall invoked at a callsite no benign execution reaches" ))
-  | Some _ | None ->
-    raise (Deny ("argument-integrity", "syscall arguments are untraced at this callsite")));
-  (* Per-frame: verify the bound arguments of the call each frame has in
-     flight, then sweep the frame's sensitive locals.  The slot spans
-     were prefetched by the snapshot's coalesced read.  Frames are
-     innermost-first, so the next list element is the frame's caller —
-     context pre-resolution matches its callsite. *)
-  let rec walk_frames = function
-    | [] -> ()
-    | (frame : Ptrace.frame_view) :: rest ->
-      let caller = match rest with c :: _ -> Some c | [] -> None in
-      (match Hashtbl.find_opt t.meta.cs_by_addr frame.fv_callsite with
-      | Some entry -> check_callsite_args t tracer entry frame ~caller
-      | None -> ());
-      (match Hashtbl.find_opt t.meta.func_slots frame.fv_func with
-      | None | Some [] -> ()
-      | Some offsets -> (
-        match List.assoc_opt frame.fv_base snap.sn_slots with
-        | None -> ()
-        | Some (slots : Ptrace.frame_slots) ->
-          List.iter
-            (fun off ->
-              charge_check t;
-              let a = Machine.Memory.addr_add frame.fv_base off in
-              let actual = slots.sl_span.(off - slots.sl_lo) in
-              match shadow_lookup t a with
-              | Some legit when not (Int64.equal legit actual) ->
-                raise
-                  (Deny
-                     ( "argument-integrity",
-                       Printf.sprintf "sensitive variable at %s+%d corrupted"
-                         frame.fv_func off ))
-              | Some _ | None -> ())
-            offsets));
-      walk_frames rest
-  in
-  walk_frames snap.sn_frames;
+    if site.st_dead then
+      deny_ai "syscall invoked at a callsite no benign execution reaches"
+  | Some _ | None -> deny_ai "syscall arguments are untraced at this callsite");
+  check_frames t tracer snap ~depth 0 snap.sn_frames;
   (* Whole-trap sweep of sensitive globals (and global struct fields),
      one batched read per region. *)
-  List.iter
-    (fun ((name, addr, words) : string * int64 * int) ->
-      let span = Ptrace.read_block tracer addr words in
-      Array.iteri
-        (fun i actual ->
-          charge_check t;
-          let a = Machine.Memory.addr_add addr i in
-          match shadow_lookup t a with
-          | Some legit when not (Int64.equal legit actual) ->
-            raise
-              (Deny
-                 ( "argument-integrity",
-                   Printf.sprintf "sensitive global %s corrupted" name ))
-          | Some _ | None -> ())
-        span)
-    t.meta.checked_globals
+  let globals = t.dec.globals in
+  for g = 0 to Array.length globals - 1 do
+    let gl = globals.(g) in
+    let span = Ptrace.read_block tracer gl.gl_addr (Array.length gl.gl_words) in
+    for i = 0 to Array.length span - 1 do
+      charge_check t;
+      let j = shadow_find t gl.gl_words.(i) in
+      if j >= 0 && not (Int64.equal (shadow_value t j) span.(i)) then
+        deny_ai (Printf.sprintf "sensitive global %s corrupted" gl.gl_name)
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Trap entry point                                                    *)
 
-(** The (lo, hi) word-offset range of [func]'s sensitive local slots,
-    for the snapshot's coalesced slot-span read. *)
-let slot_span (t : t) func =
-  match Hashtbl.find_opt t.meta.func_slots func with
-  | None | Some [] -> None
-  | Some (first :: _ as offsets) ->
-    let lo = List.fold_left min first offsets in
-    let hi = List.fold_left max first offsets in
-    Some (lo, hi)
+(* The trap's coalesced snapshot.  A live snapshot asks for each
+   frame's slot span innermost first, which resolves the frame's
+   function record for {!resolve_frames} to reuse. *)
+let snapshot (t : t) (tracer : Ptrace.t) =
+  t.dec.fr_seen <- 0;
+  t.source.ts_snapshot tracer ~slot_span:t.dec.span_query
 
-let chain_of (frames : Ptrace.frame_view list) =
-  List.map (fun (fv : Ptrace.frame_view) -> (fv.fv_func, fv.fv_ret_token)) frames
+(* The verdict-cache key over the [depth] frames just resolved. *)
+let resolved_key (t : t) ~sysno ~rip ~depth =
+  Verdict_cache.key_hashed ~sysno ~rip ~hashes:t.dec.fr_hashes ~tokens:t.dec.fr_tokens
+    ~len:depth
+
+let cache_key (t : t) ~sysno ~rip frames =
+  resolved_key t ~sysno ~rip ~depth:(resolve_frames t.dec 0 frames)
+
+let slot_span (t : t) name = (find_func t.dec name).fn_span
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder hooks.  Observation reads the machine's cycle clock
@@ -656,12 +821,12 @@ let full_check (t : t) (tracer : Ptrace.t) : Process.verdict =
         obs_span t obs Obs.Event.Ct (fun () -> check_call_type t regs)
     end
     else begin
-      let snap = t.source.ts_snapshot tracer ~slot_span:(slot_span t) in
+      let snap = snapshot t tracer in
       (match obs with
       | Some ob -> ob.ob_input <- Some (input_of regs (Some snap))
       | None -> ());
       let frames = snap.sn_frames in
-      let depth = List.length frames in
+      let depth = resolve_frames t.dec 0 frames in
       t.depth_total <- t.depth_total + depth;
       t.depth_samples <- t.depth_samples + 1;
       if depth < t.depth_min then t.depth_min <- depth;
@@ -676,7 +841,7 @@ let full_check (t : t) (tracer : Ptrace.t) : Process.verdict =
       let cache_key =
         if use_cache then begin
           Machine.charge t.machine t.machine.config.cost.cache_probe;
-          Some (Verdict_cache.key ~sysno:regs.sysno ~rip:regs.rip ~chain:(chain_of frames))
+          Some (resolved_key t ~sysno:regs.sysno ~rip:regs.rip ~depth)
         end
         else None
       in
@@ -704,7 +869,7 @@ let full_check (t : t) (tracer : Ptrace.t) : Process.verdict =
       end;
       if t.config.contexts.ai then
         obs_span t obs Obs.Event.Ai (fun () ->
-            check_argument_integrity t tracer regs snap)
+            check_argument_integrity t tracer regs snap ~depth)
     end;
     obs_finish t tracer obs ~rip:regs.rip ~kind:Obs.Event.Trap_check
       ~tier:(Some (settle_tier t)) Obs.Event.Allowed;
@@ -720,7 +885,7 @@ let fetch_only (t : t) (tracer : Ptrace.t) : Process.verdict =
   t.traps_checked <- t.traps_checked + 1;
   let obs = obs_begin t tracer in
   let regs = t.source.ts_regs tracer in
-  let snap = t.source.ts_snapshot tracer ~slot_span:(slot_span t) in
+  let snap = snapshot t tracer in
   (match obs with
   | Some ob ->
     ob.ob_depth <- List.length snap.sn_frames;

@@ -53,6 +53,13 @@ type trap_source = {
 
 val live_source : trap_source
 
+(** The metadata decoded once per monitor: one record per callsite
+    (each argument position's check) and the sensitive globals' word
+    addresses, built when the monitor is created, and one record per
+    function (cache-key name hash, sensitive-slot offsets and their
+    span), built the first time a trap meets the function. *)
+type decoded
+
 type t = {
   meta : Metadata.t;
   runtime : Runtime.t;
@@ -85,6 +92,7 @@ type t = {
   mutable depth_min : int;
   mutable depth_max : int;
   mutable depth_samples : int;
+  dec : decoded;  (** [meta], decoded for the trap path *)
 }
 
 exception Deny of string * string
@@ -100,6 +108,17 @@ val set_source : t -> trap_source -> unit
 
 (** Full verification of one trap (CT, then CF, then AI). *)
 val full_check : t -> Ptrace.t -> Process.verdict
+
+(** The verdict-cache key of a trap at [sysno]/[rip] over [frames],
+    through the per-frame resolution the trap path uses: bit-identical
+    to {!Verdict_cache.key} over the frames' (function, return token)
+    chain, unknown function names included. *)
+val cache_key : t -> sysno:int -> rip:int64 -> Ptrace.frame_view list -> int64
+
+(** The (lo, hi) word-offset range of a function's sensitive local
+    slots, as the snapshot is asked for it; [None] for a function with
+    none, or one the program does not define. *)
+val slot_span : t -> string -> (int * int) option
 
 (** Fetch state only (Table 7 row 2): getregs + stack walk, no checks. *)
 val fetch_only : t -> Ptrace.t -> Process.verdict

@@ -20,6 +20,7 @@ type t = {
   mutable lookups : int;
   mutable insert_probes : int;
   mutable inserts : int;
+  mutable last_probes : int;  (** probes taken by the latest {!find_index} *)
 }
 
 let initial_capacity = 1024
@@ -34,6 +35,7 @@ let create () =
     lookups = 0;
     insert_probes = 0;
     inserts = 0;
+    last_probes = 0;
   }
 
 (* SplitMix64 finalizer: a good avalanche for word keys. *)
@@ -103,6 +105,40 @@ let find_probes t key : int64 option * int =
   (result, steps)
 
 let find t key = fst (find_probes t key)
+
+(* [find_probes]'s probe loop, recording the probe count in
+   [last_probes] instead of returning it. *)
+let rec probe_from t key cap i steps =
+  if steps > cap then begin
+    t.last_probes <- steps;
+    -1
+  end
+  else if not t.used.(i) then begin
+    t.last_probes <- steps + 1;
+    -1
+  end
+  else if Int64.equal t.keys.(i) key then begin
+    t.last_probes <- steps + 1;
+    i
+  end
+  else probe_from t key cap ((i + 1) mod cap) (steps + 1)
+
+(** The trap path's lookup: the same probe sequence and counters as
+    {!find_probes}, but it returns the slot index ([-1] when absent)
+    and leaves the probe count in {!last_probes}, so a lookup allocates
+    nothing. *)
+let find_index t key =
+  t.lookups <- t.lookups + 1;
+  let cap = capacity t in
+  let i = probe_from t key cap (hash key mod cap) 0 in
+  t.total_probes <- t.total_probes + t.last_probes;
+  i
+
+let last_probes t = t.last_probes
+
+(** The value in slot [i], as returned by {!find_index}; valid until the
+    next insert. *)
+let value_at t i = t.values.(i)
 
 (* Convenience wrappers -------------------------------------------------- *)
 

@@ -24,6 +24,18 @@ val find_probes : t -> int64 -> int64 option * int
 
 val find : t -> int64 -> int64 option
 
+(** Allocation-free lookup with the probe sequence and counters of
+    {!find_probes}: the slot index of [key], or [-1] when absent.  The
+    probe count is left in {!last_probes}. *)
+val find_index : t -> int64 -> int
+
+(** Probes taken by the latest {!find_index}. *)
+val last_probes : t -> int
+
+(** The value in a slot {!find_index} returned; valid until the next
+    insert. *)
+val value_at : t -> int -> int64
+
 val set_shadow : t -> addr:int64 -> value:int64 -> unit
 val shadow : t -> addr:int64 -> int64 option
 val set_binding : t -> id:int -> pos:int -> addr:int64 -> unit

@@ -48,8 +48,9 @@ let create ?(size = default_size) () =
 
 let size t = t.mask + 1
 
-(* SplitMix64 finalizer: a bijective avalanche over 64-bit words. *)
-let mix (key : int64) =
+(* SplitMix64 finalizer: a bijective avalanche over 64-bit words.
+   Inlined, so a fold of mixes keeps its accumulator unboxed. *)
+let[@inline] mix (key : int64) =
   let open Int64 in
   let z = mul key 0x9E3779B97F4A7C15L in
   let z = logxor z (shift_right_logical z 30) in
@@ -81,6 +82,21 @@ let key ~(sysno : int) ~(rip : int64) ~(chain : (string * int64 option) list) :
       let tok = match token with None -> no_token | Some tok -> mix tok in
       mix (Int64.logxor h tok))
     h chain
+
+(** {!key} over a chain whose names are already hashed: frame [i] of
+    the [len] innermost frames contributes [hashes.(i)] (its function
+    name's {!hash_string}) and [tokens.(i)].  Bit-identical to {!key};
+    the monitor hashes each function's name once, so a trap folds its
+    key without touching a string or allocating a list. *)
+let key_hashed ~(sysno : int) ~(rip : int64) ~(hashes : int64 array)
+    ~(tokens : int64 option array) ~(len : int) : int64 =
+  let h = ref (mix (Int64.logxor rip (Int64.of_int sysno))) in
+  for i = 0 to len - 1 do
+    let named = mix (Int64.logxor !h hashes.(i)) in
+    let tok = match tokens.(i) with None -> no_token | Some tok -> mix tok in
+    h := mix (Int64.logxor named tok)
+  done;
+  !h
 
 let index t k = Int64.to_int (Int64.logand k 0x7FFFFFFFL) land t.mask
 

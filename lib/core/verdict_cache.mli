@@ -24,6 +24,17 @@ val size : t -> int
     innermost-first [(function, return token)] chain of the stack. *)
 val key : sysno:int -> rip:int64 -> chain:(string * int64 option) list -> int64
 
+(** The 64-bit hash {!key} folds in for one function name. *)
+val hash_string : string -> int64
+
+(** {!key} over a chain with pre-hashed names: frame [i] of the [len]
+    innermost frames contributes [hashes.(i)] (= [hash_string] of its
+    function) and [tokens.(i)].  Bit-identical to {!key}, with no string
+    hashing and no allocation but the result. *)
+val key_hashed :
+  sysno:int -> rip:int64 -> hashes:int64 array -> tokens:int64 option array ->
+  len:int -> int64
+
 (** Probe for a key recorded under the current epoch (counts hit/miss
     statistics). *)
 val probe : t -> int64 -> bool

@@ -111,7 +111,9 @@ let stack_trace (t : t) : frame_view list =
     spans, a second batched call for their union — O(1-2) calls total
     where {!stack_trace} plus per-region reads cost O(frames +
     regions).  [slot_span f] gives the (lo, hi) word-offset range of
-    function [f]'s sensitive local slots, if any. *)
+    function [f]'s sensitive local slots, if any; it is asked once per
+    frame, innermost first, so a caller may resolve its per-frame
+    records as it answers. *)
 let snapshot (t : t) ~(slot_span : string -> (int * int) option) : snapshot =
   let mframes = Machine.frames t.machine in
   let nframes = List.length mframes in

@@ -69,7 +69,8 @@ val stack_trace : t -> frame_view list
     plus, when [slot_span] names any sensitive-slot ranges, their union
     in a second — O(1-2) calls where {!stack_trace} + per-region reads
     cost O(frames + regions).  [slot_span f] is the (lo, hi)
-    word-offset range of [f]'s sensitive local slots. *)
+    word-offset range of [f]'s sensitive local slots; it is asked once
+    per frame, innermost first. *)
 val snapshot : t -> slot_span:(string -> (int * int) option) -> snapshot
 
 (** Replay injection: charge and count exactly what {!getregs} would,

@@ -10,7 +10,7 @@
    aliases its aligned neighbour.  Addresses are mostly word-aligned and
    clustered in a few regions, so the hash multiplies and folds the high
    bits down: the table indexes buckets by the low bits. *)
-module Cells = Hashtbl.Make (struct
+module Addr_tbl = Hashtbl.Make (struct
   type t = int64
 
   let equal = Int64.equal
@@ -20,20 +20,25 @@ module Cells = Hashtbl.Make (struct
     x lxor (x lsr 31)
 end)
 
-type t = int64 Cells.t
+type t = int64 Addr_tbl.t
 
-let create () = Cells.create 4096
+let create () = Addr_tbl.create 4096
 
-let read t addr = match Cells.find t addr with v -> v | exception Not_found -> 0L
+let read t addr = match Addr_tbl.find t addr with v -> v | exception Not_found -> 0L
 
-let write t addr v = if Int64.equal v 0L then Cells.remove t addr else Cells.replace t addr v
+let write t addr v = if Int64.equal v 0L then Addr_tbl.remove t addr else Addr_tbl.replace t addr v
 
 let word = 8L
 
 let addr_add addr words = Int64.add addr (Int64.mul word (Int64.of_int words))
 
 (** Read [n] consecutive words starting at [addr]. *)
-let read_block t addr n = Array.init n (fun i -> read t (addr_add addr i))
+let read_block t addr n =
+  let words = Array.make n 0L in
+  for i = 0 to n - 1 do
+    words.(i) <- read t (addr_add addr i)
+  done;
+  words
 
 let write_block t addr words =
   Array.iteri (fun i v -> write t (addr_add addr i) v) words
@@ -60,4 +65,4 @@ let write_string t addr s =
   write t (addr_add addr (String.length s)) 0L;
   String.length s + 1
 
-let mapped_words t = Cells.length t
+let mapped_words t = Addr_tbl.length t

@@ -3,6 +3,10 @@
     which also lets out-of-bounds indexing read whatever lives at the
     computed address, as the NEWTON attacks require). *)
 
+(** A table keyed by byte addresses, hashed for word-aligned addresses
+    clustered in a few regions (the cells of {!t} are one). *)
+module Addr_tbl : Hashtbl.S with type key = int64
+
 type t
 
 val create : unit -> t

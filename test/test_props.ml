@@ -82,6 +82,181 @@ let prop_binding_keys_disjoint =
     (fun ((id, pos), addr) ->
       not (Int64.equal (Bastion.Shadow_memory.binding_key ~id ~pos) addr))
 
+(* The trap path's shadow lookup against the reference [find_probes]:
+   two tables fed the same inserts answer the same lookups, one per
+   implementation, and must agree on the value, the probe count and
+   both lookup counters after every lookup.  Key sets mix addresses and
+   binding-tagged keys (bit 62) with keys crafted against the initial
+   table: several sharing one home slot (a collision chain) and several
+   homed at the last slot (a chain that wraps to slot 0).  Filler
+   inserts force growth before, between or after the crafted ones. *)
+let home_slot key =
+  let t = Bastion.Shadow_memory.create () in
+  Bastion.Shadow_memory.insert t key 0L;
+  Bastion.Shadow_memory.find_index t key
+
+let crafted_keys =
+  lazy
+    (let cap = Bastion.Shadow_memory.capacity (Bastion.Shadow_memory.create ()) in
+     let homed slot n =
+       let rec go k acc found =
+         if found = n then List.rev acc
+         else
+           let key = Int64.of_int (k * 8) in
+           if home_slot key = slot then go (k + 1) (key :: acc) (found + 1)
+           else go (k + 1) acc found
+       in
+       go 1 [] 0
+     in
+     let first = Int64.of_int 8 in
+     (homed (home_slot first) 4, homed (cap - 1) 4))
+
+type shadow_op = Insert of int64 * int64 | Lookup of int64 | Fill of int
+
+let gen_shadow_ops =
+  lazy
+    (let open QCheck.Gen in
+     let colliding, wrapping = Lazy.force crafted_keys in
+     let key =
+       frequency
+         [
+           (3, map (fun n -> Int64.of_int (abs n land 0xFFFF8)) int);
+           (2, map2 (fun id pos -> Bastion.Shadow_memory.binding_key ~id ~pos)
+                 (int_range 0 5000) (int_range 0 15));
+           (2, oneofl colliding);
+           (2, oneofl wrapping);
+         ]
+     in
+     list_size (int_range 1 60)
+       (frequency
+          [
+            (3, map2 (fun k v -> Insert (k, Int64.of_int v)) key int);
+            (4, map (fun k -> Lookup k) key);
+            (1, map (fun n -> Fill n) (int_range 0 900));
+          ]))
+
+(* Generators that need set-up build it on first use, not when the test
+   binary starts. *)
+let lazy_gen g st = (Lazy.force g) st
+
+let show_shadow_op = function
+  | Insert (k, v) -> Printf.sprintf "insert %Lx %Ld" k v
+  | Lookup k -> Printf.sprintf "lookup %Lx" k
+  | Fill n -> Printf.sprintf "fill %d" n
+
+let prop_shadow_find_index =
+  QCheck.Test.make ~count:300 ~name:"shadow find_index agrees with find_probes"
+    QCheck.(make ~print:(Print.list show_shadow_op) (lazy_gen gen_shadow_ops))
+    (fun ops ->
+      let module S = Bastion.Shadow_memory in
+      let reference = S.create () and fast = S.create () in
+      let both f = f reference; f fast in
+      let ok = ref true in
+      List.iter
+        (function
+          | Insert (k, v) -> both (fun t -> S.insert t k v)
+          | Fill n ->
+            (* Filler keys above every generated address, below bit 62. *)
+            for i = 1 to n do
+              both (fun t -> S.insert t (Int64.of_int (0x1000_0000 + (i * 8))) 1L)
+            done
+          | Lookup k ->
+            let value, probes = S.find_probes reference k in
+            let i = S.find_index fast k in
+            let value' = if i < 0 then None else Some (S.value_at fast i) in
+            ok :=
+              !ok && value = value'
+              && probes = S.last_probes fast
+              && S.lookup_count reference = S.lookup_count fast
+              && S.probe_count reference = S.probe_count fast)
+        ops;
+      !ok)
+
+(* --- verdict-cache key ------------------------------------------------- *)
+
+(* A protected small NGINX; its monitor resolves frames as a trap does. *)
+let nginx_session =
+  lazy
+    (let pr =
+       Workloads.Drivers.prepare
+         (Workloads.Drivers.nginx ~params:Workloads.Nginx_model.small ())
+         (Workloads.Drivers.Bastion_fs Bastion.Monitor.Fs_full)
+     in
+     (Option.get pr.pr_monitor, pr.pr_machine))
+
+let gen_int64 =
+  QCheck.Gen.map2
+    (fun hi lo -> Int64.(logor (shift_left (of_int hi) 32) (of_int (lo land 0xFFFFFFFF))))
+    QCheck.Gen.int QCheck.Gen.int
+
+(* Chains of (function, return token), innermost first: names the
+   program defines (with and without sensitive slots) and names it does
+   not, tokens random or absent (the entry frame's). *)
+let gen_key_input =
+  lazy
+    (let open QCheck.Gen in
+     let mon, machine = Lazy.force nginx_session in
+     let defined = Hashtbl.fold (fun name _ acc -> name :: acc) machine.Machine.prog.funcs [] in
+     let with_slots =
+       Hashtbl.fold (fun name _ acc -> name :: acc) mon.Bastion.Monitor.meta.func_slots []
+     in
+     let name =
+       frequency
+         [
+           (3, oneofl (List.sort compare defined));
+           (2, oneofl (List.sort compare with_slots));
+           (2, string_size ~gen:printable (int_range 0 16));
+         ]
+     in
+     let frame = pair name (opt gen_int64) in
+     triple (int_range 0 400) gen_int64 (list_size (int_range 0 12) frame))
+
+let show_key_input (sysno, rip, chain) =
+  Printf.sprintf "sysno %d rip %Lx [%s]" sysno rip
+    (String.concat "; "
+       (List.map
+          (fun (f, tok) ->
+            Printf.sprintf "%S, %s" f
+              (match tok with None -> "-" | Some t -> Int64.to_string t))
+          chain))
+
+let prop_key_hashed =
+  QCheck.Test.make ~count:500 ~name:"pre-hashed key fold equals Verdict_cache.key"
+    QCheck.(make ~print:show_key_input (lazy_gen gen_key_input))
+    (fun (sysno, rip, chain) ->
+      let hashes = Array.of_list (List.map (fun (f, _) -> Bastion.Verdict_cache.hash_string f) chain) in
+      let tokens = Array.of_list (List.map snd chain) in
+      Int64.equal
+        (Bastion.Verdict_cache.key_hashed ~sysno ~rip ~hashes ~tokens
+           ~len:(List.length chain))
+        (Bastion.Verdict_cache.key ~sysno ~rip ~chain))
+
+(* The monitor's own fold, through its frame resolution: the same key
+   as the reference, and a slot span exactly where the metadata lists
+   sensitive slots (never for a name the program does not define). *)
+let prop_monitor_cache_key =
+  QCheck.Test.make ~count:500 ~name:"monitor key fold equals Verdict_cache.key"
+    QCheck.(make ~print:show_key_input (lazy_gen gen_key_input))
+    (fun (sysno, rip, chain) ->
+      let mon, _ = Lazy.force nginx_session in
+      let frames =
+        List.mapi
+          (fun i (f, tok) ->
+            { Kernel.Ptrace.fv_func = f; fv_callsite = Int64.of_int (0x400000 + (i * 8));
+              fv_args = [||]; fv_ret_token = tok; fv_base = Int64.of_int (i * 64) })
+          chain
+      in
+      let span_model f =
+        match Hashtbl.find_opt mon.Bastion.Monitor.meta.func_slots f with
+        | None | Some [] -> None
+        | Some (o :: _ as offs) ->
+          Some (List.fold_left min o offs, List.fold_left max o offs)
+      in
+      Int64.equal
+        (Bastion.Monitor.cache_key mon ~sysno ~rip frames)
+        (Bastion.Verdict_cache.key ~sysno ~rip ~chain)
+      && List.for_all (fun (f, _) -> Bastion.Monitor.slot_span mon f = span_model f) chain)
+
 (* --- machine memory ---------------------------------------------------- *)
 
 let prop_memory_roundtrip =
@@ -306,6 +481,9 @@ let suites =
           prop_shadow_insert_roundtrip;
           prop_binding_key_injective;
           prop_binding_keys_disjoint;
+          prop_shadow_find_index;
+          prop_key_hashed;
+          prop_monitor_cache_key;
           prop_memory_roundtrip;
           prop_memory_model;
           prop_string_roundtrip;

@@ -574,6 +574,82 @@ let test_diff_tampered_streams () =
   Alcotest.(check int) "truncated: two prefilter->full moves" 2 r.dr_tier_moves;
   Alcotest.(check bool) "truncated: diff ok" true (Engine.diff_ok r)
 
+(* A recorded slot span must cover every sensitive slot the metadata
+   lists for its frame.  One that does not — too short, or a [lo] that
+   puts it past or before the slots — is a corrupt input: strict and
+   default replay both judge that trap a typed argument-integrity
+   denial instead of crashing the monitor. *)
+let test_uncovered_slot_span () =
+  let text = read_whole "golden/nginx-benign.jsonl" in
+  let words = "[\"0x3\",\"0x0\",\"0x0\",\"0x7ffeff68\"]" in
+  List.iter
+    (fun (name, by) ->
+      let tampered = replace_once ~sub:("\"lo\":0,\"span\":" ^ words) ~by text in
+      let line =
+        1 + Option.get (List.find_index (fun l -> Astring.String.is_infix ~affix:by l)
+                          (String.split_on_char '\n' tampered))
+      in
+      List.iter
+        (fun strict ->
+          let name = Printf.sprintf "%s (strict %b)" name strict in
+          let r = Engine.replay ~strict (Trace.read_string ~file:"span.jsonl" tampered) in
+          Alcotest.(check bool) (name ^ ": diverges") false (Engine.ok r);
+          match r.rp_divergences with
+          | d :: _ ->
+            Alcotest.(check string) (name ^ ": field") "verdict" d.dv_field;
+            Alcotest.(check int) (name ^ ": line") line d.dv_line;
+            Alcotest.(check bool) (name ^ ": typed denial") true
+              (Astring.String.is_prefix ~affix:"denied[argument-integrity: sensitive variable at ngx_worker_loop+"
+                 d.dv_replayed
+              && Astring.String.is_suffix ~affix:" is outside the fetched slot span]"
+                   d.dv_replayed)
+          | [] -> Alcotest.failf "%s: no divergence" name)
+        [ true; false ])
+    [
+      ("short span", "\"lo\":0,\"span\":[\"0x3\"]");
+      ("negative lo", "\"lo\":-5,\"span\":" ^ words);
+      ("oversized lo", "\"lo\":100,\"span\":" ^ words);
+    ]
+
+(* A replayed frame naming a function the program does not define
+   resolves to no slots and hashes into the cache key like any name:
+   the verdicts are those the monitor gave before it decoded metadata
+   once (checked byte for byte against that version's replay output).
+   Renaming the last trap's frame also turns its cache hit into a miss,
+   so the control-flow walk judges it. *)
+let test_unknown_frame_function () =
+  let text = read_whole "golden/nginx-benign.jsonl" in
+  let rename ~last name =
+    let sub = Printf.sprintf "\"func\":%S" name and by = "\"func\":\"ngx_no_such_function\"" in
+    if not last then replace_once ~sub ~by text
+    else
+      match Astring.String.find_sub ~rev:true ~sub text with
+      | None -> Alcotest.failf "%s not in the trace" name
+      | Some i ->
+        String.sub text 0 i ^ by
+        ^ String.sub text (i + String.length sub) (String.length text - i - String.length sub)
+  in
+  List.iter
+    (fun (label, tampered, seq, verdict) ->
+      List.iter
+        (fun strict ->
+          let r = Engine.replay ~strict (Trace.read_string ~file:"unknown.jsonl" tampered) in
+          match r.rp_divergences with
+          | d :: _ ->
+            Alcotest.(check string) (label ^ ": field") "verdict" d.dv_field;
+            Alcotest.(check int) (label ^ ": seq") seq d.dv_seq;
+            Alcotest.(check string) (label ^ ": verdict") verdict d.dv_replayed
+          | [] -> Alcotest.failf "%s: no divergence" label)
+        [ true; false ])
+    [
+      ( "innermost frame", rename ~last:false "ngx_worker_loop", 0,
+        "denied[control-flow: stack top does not match the trapping callsite]" );
+      ( "caller frame", rename ~last:false "ngx_worker_process_cycle", 0,
+        "denied[control-flow: unwound caller does not match the next frame]" );
+      ( "cached trap", rename ~last:true "ngx_worker_process_cycle", 6,
+        "denied[control-flow: unwound caller does not match the next frame]" );
+    ]
+
 (* The committed `make diff-golden` artifact regenerates byte for byte:
    the six golden traces in the Makefile's order, labelled with their
    repository paths. *)
@@ -646,6 +722,10 @@ let suites =
           test_diff_tampered_streams;
         Alcotest.test_case "diff-replay: golden artifact is byte-identical" `Quick
           test_diff_golden_artifact;
+        Alcotest.test_case "uncovered slot span fails closed" `Quick
+          test_uncovered_slot_span;
+        Alcotest.test_case "unknown frame function keeps its verdict" `Quick
+          test_unknown_frame_function;
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_record_replay_equivalence; prop_bitflip_total ] );
