@@ -1,4 +1,4 @@
-.PHONY: all build test lint check bench perfbench-smoke bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
+.PHONY: all build test lint check bench perfbench-smoke bench-all bench-check bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
 
 all: build
 
@@ -9,7 +9,7 @@ test:
 	dune runtest
 
 # The metadata-soundness lint gate: every workload model must produce
-# zero diagnostics (the CI job runs the same three commands).
+# zero diagnostics.
 lint:
 	dune exec bin/bastion_cli.exe -- lint --app nginx
 	dune exec bin/bastion_cli.exe -- lint --app sqlite
@@ -35,20 +35,18 @@ perfbench-smoke:
 	  case "$$last" in *'"correct": true'*) ;; *) echo "$$w: a known answer failed"; exit 1 ;; esac; \
 	done
 
-# The tiered-ablation artifact: off / prefilter-only / tiered on all
-# three workloads plus the per-attack tier split (EXPERIMENTS.md).
-bench-prefilter:
-	dune exec bench/main.exe -- --json-prefilter BENCH_prefilter.json
+# Regenerate the committed BENCH_*.json artifacts (EXPERIMENTS.md):
+# all of them (~20 s), or one by name.
+bench-all:
+	dune exec bench/main.exe -- --emit all
 
-# The static pre-resolution artifact: off / rank-only / full ablation
-# with the SCCP + taint slot breakdown per workload (EXPERIMENTS.md).
-bench-static:
-	dune exec bench/main.exe -- --json-static BENCH_static_pre_resolution.json
+bench-prefilter bench-static bench-fleet:
+	dune exec bench/main.exe -- --emit $(@:bench-%=%)
 
-# The fleet telemetry artifact: tail latency vs offered load over a
-# heterogeneous 64-tracee fleet on the sharded pool (EXPERIMENTS.md).
-bench-fleet:
-	dune exec bench/main.exe -- --json-fleet BENCH_fleet.json
+# Regenerate every artifact in memory and fail, naming each
+# committed file that differs from its regeneration.
+bench-check:
+	dune exec bench/main.exe -- --check
 
 # Record an NGINX run with the flight recorder and summarise the trace
 # (open nginx.trace.json in Perfetto / chrome://tracing).

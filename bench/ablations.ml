@@ -4,7 +4,8 @@
    2. running the monitor in the kernel instead of over ptrace (§11.2);
    3. shadow-memory probe behaviour under load (both table sides);
    4. control-flow verification cost as a function of stack depth;
-   5. the trap fast path's CT+CF verdict cache, on vs off. *)
+   5. the trap fast path's CT+CF verdict cache, on vs off (rendered from
+      the BENCH_trap_fastpath.json measurement). *)
 
 module D = Workloads.Drivers
 module B = Sil.Builder
@@ -121,14 +122,15 @@ let depth_sweep () =
 
 (* --- 5. trap verdict cache ------------------------------------------ *)
 
-let trap_cache_ablation () =
+(* Renders the trap-fast-path emitter's measurement: the same runs that
+   BENCH_trap_fastpath.json records. *)
+let trap_cache_ablation (apps : Fastpath.app_runs list) =
   print_endline "-- ablation: trap fast path (CT+CF verdict cache) --";
   List.iter
-    (fun (app : D.app) ->
+    (fun ({ app; pairs; _ } : Fastpath.app_runs) ->
       List.iter
-        (fun defense ->
-          let on = D.run ~trap_cache:true app defense in
-          let off = D.run ~trap_cache:false app defense in
+        (fun ((on : Fastpath.run), (off : Fastpath.run)) ->
+          let on = on.m and off = off.m in
           let hits, misses, rate =
             match on.D.m_monitor with
             | Some m -> Bastion.Monitor.cache_stats m
@@ -146,8 +148,8 @@ let trap_cache_ablation () =
             /. float_of_int off.D.m_cycles *. 100.0)
             t_off.Kernel.Ptrace.calls_made t_on.Kernel.Ptrace.calls_made hits
             (hits + misses) (rate *. 100.0))
-        [ D.Bastion_full; D.Bastion_fs Bastion.Monitor.Fs_full ])
-    [ D.nginx (); D.sqlite (); D.vsftpd () ]
+        pairs)
+    apps
 
 let run () =
   print_endline "== Ablation benches ==";
@@ -155,5 +157,5 @@ let run () =
   in_kernel_ablation ();
   shadow_ablation ();
   depth_sweep ();
-  trap_cache_ablation ();
+  trap_cache_ablation (Fastpath.measure ());
   print_newline ()

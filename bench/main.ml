@@ -1,99 +1,5 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Figure 3, Tables 3-7), the section-9.2
-   statistics, the ablation benches, and Bechamel micro-benchmarks.
+   paper's evaluation and the committed BENCH_*.json artifacts.  See
+   {!Bench.Cli} for the command line. *)
 
-   Usage:  dune exec bench/main.exe [section ...] [--json PATH]
-                                    [--json-static PATH]
-                                    [--json-parallel PATH] [--parallel-smoke]
-                                    [--json-prefilter PATH]
-                                    [--json-fleet PATH] [--fleet-smoke]
-   Sections: figure3 table3 table4 table5 table6 table7 stats ablations
-             static prefilter micro throughput fleet all (default: all)
-
-   --json PATH writes machine-readable cycle totals / overhead % per
-   configuration (including the trap-cache on/off ablation pair) to
-   PATH; --json-static PATH writes the constant-argument
-   pre-resolution ablation; --json-parallel PATH writes the sharded
-   multi-tracee monitor throughput bench (--parallel-smoke shrinks it
-   to the CI configuration); --json-prefilter PATH writes the tiered
-   trap-resolution (syscall-flow pre-filter) ablation; any given alone
-   skips the printed sections; --json-fleet PATH writes the open-loop
-   fleet tail-latency-vs-load sweep (--fleet-smoke shrinks it to the
-   CI configuration). *)
-
-let sections =
-  [
-    ("figure3", fun () -> Figure3.run ());
-    ("table4", fun () -> Table4.run ());
-    ("table5", fun () -> Table5.run ());
-    ("table6", fun () -> Table6.run ());
-    ("table7", fun () -> Table7.run ());
-    ("stats", fun () -> Stats9.run ());
-    ("ablations", fun () -> Ablations.run ());
-    ("static", fun () -> Static_preres.run ());
-    ("prefilter", fun () -> Prefilter.run ());
-    ("micro", fun () -> Micro.run ());
-    ("throughput", fun () -> Throughput.run ());
-    ("fleet", fun () -> Fleet_bench.run ());
-  ]
-
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* Split off a `--json PATH` pair before section selection. *)
-  let rec extract_json flag acc = function
-    | f :: path :: rest when String.equal f flag -> (Some path, List.rev_append acc rest)
-    | f :: [] when String.equal f flag ->
-      Printf.eprintf "%s requires a PATH argument\n" flag;
-      exit 2
-    | arg :: rest -> extract_json flag (arg :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let json_path, args = extract_json "--json" [] args in
-  let json_static_path, args = extract_json "--json-static" [] args in
-  let json_parallel_path, args = extract_json "--json-parallel" [] args in
-  let json_prefilter_path, args = extract_json "--json-prefilter" [] args in
-  let json_fleet_path, args = extract_json "--json-fleet" [] args in
-  let parallel_smoke = List.mem "--parallel-smoke" args in
-  let fleet_smoke = List.mem "--fleet-smoke" args in
-  let args =
-    List.filter (fun a -> a <> "--parallel-smoke" && a <> "--fleet-smoke") args
-  in
-  let wanted =
-    match args with
-    | [] when json_path <> None || json_static_path <> None
-              || json_parallel_path <> None || json_prefilter_path <> None
-              || json_fleet_path <> None ->
-      []  (* JSON-only invocation *)
-    | [] | [ "all" ] -> List.map fst sections
-    | args ->
-      (* table3 is printed together with figure3. *)
-      List.map (function "table3" -> "figure3" | s -> s) args
-  in
-  let wanted = List.sort_uniq compare wanted in
-  let unknown = List.filter (fun w -> not (List.mem_assoc w sections)) wanted in
-  if unknown <> [] then begin
-    Printf.eprintf "unknown sections: %s\nknown: %s\n"
-      (String.concat ", " unknown)
-      (String.concat ", " (List.map fst sections));
-    exit 2
-  end;
-  let requested = List.filter (fun (name, _) -> List.mem name wanted) sections in
-  if requested <> [] then begin
-    print_endline "BASTION reproduction benchmark harness";
-    print_endline "======================================";
-    Printf.printf "sections: %s\n\n" (String.concat ", " (List.map fst requested));
-    List.iter (fun (_, f) -> f ()) requested
-  end;
-  (match json_path with None -> () | Some path -> Json_out.emit path);
-  (match json_static_path with
-  | None -> ()
-  | Some path -> Static_preres.emit path);
-  (match json_parallel_path with
-  | None -> ()
-  | Some path -> Throughput.emit ~smoke:parallel_smoke path);
-  (match json_prefilter_path with
-  | None -> ()
-  | Some path -> Prefilter.emit path);
-  match json_fleet_path with
-  | None -> ()
-  | Some path -> Fleet_bench.emit ~smoke:fleet_smoke path
+let () = exit (Bench.Cli.main (List.tl (Array.to_list Sys.argv)))

@@ -1,5 +1,5 @@
-(* The tiered trap-resolution ablation
-   (`bench/main.exe --json-prefilter PATH`): full BASTION per app with
+(* The tiered trap-resolution ablation (`bench/main.exe --emit
+   prefilter`, committed as BENCH_prefilter.json): full BASTION per app with
    the syscall-flow pre-filter off, standalone (the SFIP baseline: the
    automaton is the only defense) and tiered (automaton in front of the
    unchanged full monitor).  The off-configuration numbers must be
@@ -8,7 +8,8 @@
    top.  The headline is the tiered row: the majority of traps resolve
    at seccomp cost, with a strict total-cycle win over the trap-cache
    fast path alone.  The attack section records which tier of the
-   tiered deployment catches each catalog attack. *)
+   tiered deployment catches each catalog attack.  The printed
+   `prefilter` section renders the same measurement. *)
 
 module D = Workloads.Drivers
 module J = Report.Json
@@ -59,11 +60,31 @@ let record ~(app : D.app) ~(baseline : D.measurement) ~mode (m : D.measurement)
 
 let modes = [ None; Some Kernel.Seccomp.Flow_standalone; Some Kernel.Seccomp.Flow_tiered ]
 
-let attack_tiers () =
-  let rows = Attacks.Runner.evaluate_all () in
-  let count tier =
-    List.length (List.filter (fun r -> Attacks.Runner.catching_tier r = tier) rows)
+type app_runs = {
+  app : D.app;
+  baseline : D.measurement;
+  runs : (Kernel.Seccomp.flow_mode option * D.measurement) list;
+}
+
+type t = { apps : app_runs list; attacks : Attacks.Runner.row list }
+
+let measure () : t =
+  let apps =
+    List.map
+      (fun (app : D.app) ->
+        let baseline = D.run app D.Vanilla in
+        let runs =
+          List.map (fun mode -> (mode, D.run ?prefilter:mode app D.Bastion_full)) modes
+        in
+        { app; baseline; runs })
+      [ D.nginx (); D.sqlite (); D.vsftpd () ]
   in
+  { apps; attacks = Attacks.Runner.evaluate_all () }
+
+let tier_count rows tier =
+  List.length (List.filter (fun r -> Attacks.Runner.catching_tier r = tier) rows)
+
+let attack_tiers rows =
   let per_attack =
     List.map
       (fun (r : Attacks.Runner.row) ->
@@ -71,28 +92,21 @@ let attack_tiers () =
           J.Str (Attacks.Runner.tier_name (Attacks.Runner.catching_tier r)) ))
       rows
   in
-  ( J.Obj
-      [
-        ("prefilter", J.Num (float_of_int (count Attacks.Runner.Tier_prefilter)));
-        ("full", J.Num (float_of_int (count Attacks.Runner.Tier_full)));
-        ("uncaught", J.Num (float_of_int (count Attacks.Runner.Tier_uncaught)));
-        ("per_attack", J.Obj per_attack);
-      ],
-    rows )
+  J.Obj
+    [
+      ("prefilter", J.Num (float_of_int (tier_count rows Attacks.Runner.Tier_prefilter)));
+      ("full", J.Num (float_of_int (tier_count rows Attacks.Runner.Tier_full)));
+      ("uncaught", J.Num (float_of_int (tier_count rows Attacks.Runner.Tier_uncaught)));
+      ("per_attack", J.Obj per_attack);
+    ]
 
-let document () : J.t =
-  let apps = [ D.nginx (); D.sqlite (); D.vsftpd () ] in
+let to_json ({ apps; attacks } : t) : J.t =
   let results =
     List.concat_map
-      (fun (app : D.app) ->
-        let baseline = D.run app D.Vanilla in
-        List.map
-          (fun mode ->
-            record ~app ~baseline ~mode (D.run ?prefilter:mode app D.Bastion_full))
-          modes)
+      (fun { app; baseline; runs } ->
+        List.map (fun (mode, m) -> record ~app ~baseline ~mode m) runs)
       apps
   in
-  let tiers, _rows = attack_tiers () in
   J.Obj
     [
       ("schema", J.Str "bastion-bench-prefilter/1");
@@ -104,24 +118,21 @@ let document () : J.t =
            monitor (the off-records match the trap_cache:true records of \
            BENCH_trap_fastpath.json)" );
       ("results", J.List results);
-      ("attack_tiers", tiers);
+      ("attack_tiers", attack_tiers attacks);
     ]
 
-let emit path =
-  let doc = document () in
-  J.to_file path doc;
-  Printf.printf "prefilter bench JSON written to %s\n" path
+let document () = to_json (measure ())
 
 (* Printed section (`bench/main.exe prefilter`). *)
 let run () =
   print_endline "Tiered trap resolution (syscall-flow pre-filter ablation)";
   print_endline "---------------------------------------------------------";
-  let apps = [ D.nginx (); D.sqlite (); D.vsftpd () ] in
+  let { apps; attacks } = measure () in
   List.iter
-    (fun (app : D.app) ->
-      let off = D.run app D.Bastion_full in
-      let tiered = D.run ~prefilter:Kernel.Seccomp.Flow_tiered app D.Bastion_full in
-      let alone = D.run ~prefilter:Kernel.Seccomp.Flow_standalone app D.Bastion_full in
+    (fun { app; runs; _ } ->
+      let off = List.assoc None runs in
+      let tiered = List.assoc (Some Kernel.Seccomp.Flow_tiered) runs in
+      let alone = List.assoc (Some Kernel.Seccomp.Flow_standalone) runs in
       let resolved, fallthroughs, _ =
         match tiered.D.m_monitor with
         | Some m -> Bastion.Monitor.prefilter_stats m
@@ -135,4 +146,8 @@ let run () =
         (off.D.m_cycles - tiered.D.m_cycles)
         alone.D.m_cycles)
     apps;
+  Printf.printf "  attacks caught: prefilter=%d full=%d uncaught=%d\n"
+    (tier_count attacks Attacks.Runner.Tier_prefilter)
+    (tier_count attacks Attacks.Runner.Tier_full)
+    (tier_count attacks Attacks.Runner.Tier_uncaught);
   print_newline ()

@@ -1,5 +1,5 @@
-(* The static pre-resolution ablation
-   (`bench/main.exe --json-static PATH`): full BASTION per app, trap
+(* The static pre-resolution ablation (`bench/main.exe --emit static`,
+   committed as BENCH_static_pre_resolution.json): full BASTION per app, trap
    cache on, in three configurations —
 
      off          no static results at all
@@ -15,7 +15,8 @@
    The on-records add the per-mechanism hit counters and the slot
    breakdown (plain / per-context / dead-site) with taint-rank counts;
    a tainted slot is never pre-resolved, which the emitting code
-   asserts. *)
+   asserts.  The printed `static` section renders the same
+   measurement. *)
 
 module D = Workloads.Drivers
 module P = Bastion_analysis.Preresolve
@@ -80,8 +81,7 @@ let tainted_pre_resolved (p : Bastion.Api.protected) : int =
              ranks))
     p.Bastion.Api.slot_ranks 0
 
-let slots_json (app : D.app) : J.t =
-  let p = enriched app in
+let slots_json (p : Bastion.Api.protected) : J.t =
   let b = P.breakdown p in
   J.Obj
     [
@@ -94,24 +94,40 @@ let slots_json (app : D.app) : J.t =
       ("tainted_pre_resolved", J.Num (float_of_int (tainted_pre_resolved p)));
     ]
 
-let document () : J.t =
-  let apps = [ D.nginx (); D.sqlite (); D.vsftpd () ] in
+type app_runs = {
+  app : D.app;
+  protected : Bastion.Api.protected;
+  baseline : D.measurement;
+  off : D.measurement;
+  rank_only : D.measurement;
+  full : D.measurement;
+}
+
+let measure () : app_runs list =
+  List.map
+    (fun (app : D.app) ->
+      let baseline = D.run app D.Vanilla in
+      let off = D.run app D.Bastion_full in
+      let rank_only =
+        D.run ~pre_resolve:true ~taint_cheap_path:false app D.Bastion_full
+      in
+      let full = D.run ~pre_resolve:true app D.Bastion_full in
+      { app; protected = enriched app; baseline; off; rank_only; full })
+    [ D.nginx (); D.sqlite (); D.vsftpd () ]
+
+let to_json (apps : app_runs list) : J.t =
   let results =
     List.concat_map
-      (fun (app : D.app) ->
-        let baseline = D.run app D.Vanilla in
+      (fun { app; baseline; off; rank_only; full; _ } ->
         [
-          record ~app ~baseline ~config:"off" ~pre_resolve:false
-            (D.run app D.Bastion_full);
-          record ~app ~baseline ~config:"rank-only" ~pre_resolve:true
-            (D.run ~pre_resolve:true ~taint_cheap_path:false app D.Bastion_full);
-          record ~app ~baseline ~config:"full" ~pre_resolve:true
-            (D.run ~pre_resolve:true app D.Bastion_full);
+          record ~app ~baseline ~config:"off" ~pre_resolve:false off;
+          record ~app ~baseline ~config:"rank-only" ~pre_resolve:true rank_only;
+          record ~app ~baseline ~config:"full" ~pre_resolve:true full;
         ])
       apps
   in
   let slots =
-    J.Obj (List.map (fun (app : D.app) -> (app.D.app_name, slots_json app)) apps)
+    J.Obj (List.map (fun a -> (a.app.D.app_name, slots_json a.protected)) apps)
   in
   J.Obj
     [
@@ -128,22 +144,15 @@ let document () : J.t =
       ("results", J.List results);
     ]
 
-let emit path =
-  let doc = document () in
-  J.to_file path doc;
-  Printf.printf "static pre-resolution bench JSON written to %s\n" path
+let document () = to_json (measure ())
 
 (* Printed section (`bench/main.exe static`). *)
 let run () =
   print_endline "Static pre-resolution (SCCP + taint ablation)";
   print_endline "---------------------------------------------";
-  let apps = [ D.nginx (); D.sqlite (); D.vsftpd () ] in
   List.iter
-    (fun (app : D.app) ->
-      let p = enriched app in
+    (fun { app; protected = p; off; full = on; _ } ->
       let b = P.breakdown p in
-      let off = D.run app D.Bastion_full in
-      let on = D.run ~pre_resolve:true app D.Bastion_full in
       let hits, ctx_hits, untainted =
         match on.D.m_monitor with
         | Some m ->
@@ -159,5 +168,5 @@ let run () =
         b.P.bk_tainted b.P.bk_untainted off.D.m_cycles on.D.m_cycles
         (off.D.m_cycles - on.D.m_cycles)
         hits ctx_hits untainted)
-    apps;
+    (measure ());
   print_newline ()
