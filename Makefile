@@ -1,4 +1,4 @@
-.PHONY: all build test lint check bench perfbench-smoke bench-all bench-check bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
+.PHONY: all build test lint check bench perfbench-smoke perfbench-pairs bench-all bench-check bench-prefilter bench-static bench-fleet trace-demo golden replay-golden diff-golden clean
 
 all: build
 
@@ -34,6 +34,14 @@ perfbench-smoke:
 	  echo "$$w: $$last"; \
 	  case "$$last" in *'"correct": true'*) ;; *) echo "$$w: a known answer failed"; exit 1 ;; esac; \
 	done
+
+# Compare the working tree with revision BASE on one perfbench
+# workload: 10 alternating untraced 10-second pairs at seeds 1..10,
+# base first on odd seeds.  Takes minutes; CI does not run it.
+perfbench-pairs:
+	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ]; then \
+	  echo "usage: make perfbench-pairs BASE=<rev> WORKLOAD=<name>"; exit 2; fi
+	tools/perfbench_pairs.sh $(BASE) $(WORKLOAD)
 
 # Regenerate the committed BENCH_*.json artifacts (EXPERIMENTS.md):
 # all of them (~20 s), or one by name.

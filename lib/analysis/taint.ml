@@ -65,9 +65,8 @@ let source_stub (prog : Sil.Prog.t) fname : bool =
   match Hashtbl.find_opt prog.funcs fname with
   | Some f -> (
     match Sil.Func.syscall_number f with
-    | Some nr ->
-      let n = Kernel.Syscalls.name nr in
-      String.equal n "read" || String.equal n "recvfrom"
+    | Some nr -> (
+      match (Kernel.Syscalls.decode nr).kind with Read | Recvfrom -> true | _ -> false)
     | None -> false)
   | None -> false
 

@@ -14,12 +14,11 @@ type kind =
   | Sockaddr          (** extended, with the specialised sockaddr check *)
 
 let kind ~sysno ~pos =
-  match (Syscalls.name sysno, pos) with
-  | "execve", (0 | 1 | 2) -> Extended
-  | "execveat", 1 -> Extended
-  | ("open" | "openat" | "stat" | "chmod"), 0 -> Extended
-  | ("accept" | "accept4"), 1 -> Sockaddr
-  | ("bind" | "connect"), 1 -> Direct
+  match ((Syscalls.decode sysno).kind, pos) with
+  | Execve, (0 | 1 | 2) -> Extended
+  | Execveat, 1 -> Extended
+  | (Open | Openat | Stat | Chmod), 0 -> Extended
+  | (Accept | Accept4), 1 -> Sockaddr
   | _, _ -> Direct
 
 (** Maximum pointee words an extended check walks (strings/vectors are

@@ -115,7 +115,7 @@ let deploy (s : spec) ~(layout : Machine.Layout.t)
           fn_sysno = n.ns_sysno;
           fn_checks;
           fn_resolvable;
-          fn_succs = Hashtbl.create (max 1 (Sil.Loc.Set.cardinal n.ns_succs));
+          fn_succs = Machine.Memory.Addr_tbl.create (max 1 (Sil.Loc.Set.cardinal n.ns_succs));
         })
     s.sp_nodes;
   List.iter

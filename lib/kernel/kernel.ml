@@ -16,135 +16,151 @@ let cost (p : Process.t) = p.machine.config.cost
 (* ------------------------------------------------------------------ *)
 (* Per-syscall semantics                                               *)
 
-let sys_open (p : Process.t) (args : int64 array) =
-  let path = Machine.read_string p.machine args.(0) in
-  match Vfs.lookup p.vfs path with
+(* Argument [i] as the kernel ABI sees it: registers past the ones the
+   call passed read as zero. *)
+let arg (args : int64 array) i = if i < Array.length args then args.(i) else 0L
+
+let arg_int args i = Int64.to_int (arg args i)
+
+(* The path in argument 0: [path] when dispatch already read it. *)
+let path_of (p : Process.t) ~path args =
+  match path with Some s -> s | None -> Machine.read_string p.machine (arg args 0)
+
+let sys_open (p : Process.t) ~path args =
+  match Vfs.lookup p.vfs (path_of p ~path args) with
   | Some file -> Int64.of_int (Process.alloc_fd p (File { file; pos = 0 }))
   | None -> -2L
 
-let sys_read (p : Process.t) (args : int64 array) =
-  let fd = Int64.to_int args.(0) in
-  let count = Int64.to_int args.(2) in
-  match Process.find_fd p fd with
-  | Some (File f) ->
+(* Descriptor lookups use [Hashtbl.find], so a hit allocates no option. *)
+let sys_read (p : Process.t) args =
+  let count = arg_int args 2 in
+  match Hashtbl.find p.fds (arg_int args 0) with
+  | File f ->
     let n = min count (f.file.size_words - f.pos) in
     let n = max n 0 in
     f.pos <- f.pos + n;
     p.io_words_in <- p.io_words_in + n;
     charge p ((cost p).io_per_word * n);
     Int64.of_int n
-  | Some (Conn c) ->
-    let n = min count c.request_words in
+  | Conn c ->
+    let n = max 0 (min count c.request_words) in
     p.io_words_in <- p.io_words_in + n;
     charge p ((cost p).io_per_word * n);
     Int64.of_int n
-  | Some (Sock _) | None -> -1L
+  | Sock _ | (exception Not_found) -> -1L
 
-let sys_write (p : Process.t) (args : int64 array) =
-  let fd = Int64.to_int args.(0) in
-  let count = max 0 (Int64.to_int args.(2)) in
-  match Process.find_fd p fd with
-  | Some (Conn _) ->
+let sys_write (p : Process.t) args =
+  let count = max 0 (arg_int args 2) in
+  match Hashtbl.find p.fds (arg_int args 0) with
+  | Conn _ ->
     p.io_words_out <- p.io_words_out + count;
     charge p ((cost p).io_per_word * count);
     Int64.of_int count
-  | Some (File _) ->
+  | File _ ->
     charge p ((cost p).io_per_word * count);
     Int64.of_int count
-  | Some (Sock _) | None -> -1L
+  | Sock _ | (exception Not_found) -> -1L
 
-let sys_sendfile (p : Process.t) (args : int64 array) =
+let sys_sendfile (p : Process.t) args =
   (* sendfile(out_fd, in_fd, offset, count) *)
-  let count = max 0 (Int64.to_int args.(3)) in
-  (match Process.find_fd p (Int64.to_int args.(1)) with
-  | Some (File f) -> f.pos <- min f.file.size_words (f.pos + count)
-  | Some (Sock _) | Some (Conn _) | None -> ());
+  let count = max 0 (arg_int args 3) in
+  (match Hashtbl.find p.fds (arg_int args 1) with
+  | File f -> f.pos <- f.pos + min count (f.file.size_words - f.pos)
+  | Sock _ | Conn _ | (exception Not_found) -> ());
   p.io_words_out <- p.io_words_out + count;
   charge p ((cost p).io_per_word * count);
   Int64.of_int count
 
-let sys_socket (p : Process.t) _args = Int64.of_int (Process.alloc_fd p (Sock { port = 0 }))
+(* A negative offset, or one past [max_int], is EINVAL and leaves the
+   position alone. *)
+let sys_lseek (p : Process.t) args =
+  match Hashtbl.find p.fds (arg_int args 0) with
+  | File f ->
+    let off = arg args 1 in
+    if Int64.compare off 0L < 0 || Int64.compare off (Int64.of_int max_int) > 0 then -22L
+    else begin
+      f.pos <- Int64.to_int off;
+      off
+    end
+  | Sock _ | Conn _ | (exception Not_found) -> -1L
 
-let sys_bind (p : Process.t) (args : int64 array) =
-  match Process.find_fd p (Int64.to_int args.(0)) with
-  | Some (Sock s) ->
-    s.port <- Int64.to_int args.(1);
+let sys_socket (p : Process.t) = Int64.of_int (Process.alloc_fd p (Sock { port = 0 }))
+
+let sys_bind (p : Process.t) args =
+  match Hashtbl.find p.fds (arg_int args 0) with
+  | Sock s ->
+    s.port <- arg_int args 1;
     0L
-  | Some (File _) | Some (Conn _) | None -> -1L
+  | File _ | Conn _ | (exception Not_found) -> -1L
 
-let sys_listen (p : Process.t) (args : int64 array) =
-  match Process.find_fd p (Int64.to_int args.(0)) with
-  | Some (Sock s) ->
+let sys_listen (p : Process.t) args =
+  match Hashtbl.find p.fds (arg_int args 0) with
+  | Sock s ->
     Net.listen p.net s.port;
     0L
-  | Some (File _) | Some (Conn _) | None -> -1L
+  | File _ | Conn _ | (exception Not_found) -> -1L
 
-let sys_accept (p : Process.t) (args : int64 array) =
+let sys_accept (p : Process.t) args =
   if p.serve_start_cycles = None then
     p.serve_start_cycles <- Some p.machine.stats.cycles;
-  match Process.find_fd p (Int64.to_int args.(0)) with
-  | Some (Sock s) -> (
+  match Hashtbl.find p.fds (arg_int args 0) with
+  | Sock s -> (
     match Net.accept p.net s.port with
     | Some conn -> Int64.of_int (Process.alloc_fd p (Conn conn))
     | None -> -1L)
-  | Some (File _) | Some (Conn _) | None -> -1L
+  | File _ | Conn _ | (exception Not_found) -> -1L
 
-let sys_mmap (p : Process.t) (args : int64 array) =
-  let words = max 1 (Int64.to_int args.(1)) in
+let sys_mmap (p : Process.t) args =
+  let words = max 1 (arg_int args 1) in
   Machine.alloc_heap p.machine words
 
-let sys_chmod (p : Process.t) (args : int64 array) =
-  let path = Machine.read_string p.machine args.(0) in
-  Vfs.chmod p.vfs path (Int64.to_int args.(1))
+let sys_chmod (p : Process.t) ~path args =
+  Vfs.chmod p.vfs (path_of p ~path args) (arg_int args 1)
 
-let execute (p : Process.t) ~sysno ~(args : int64 array) : int64 =
-  let arg i = if i < Array.length args then args.(i) else 0L in
-  let args6 = Array.init 6 arg in
-  match Syscalls.name sysno with
-  | "open" | "openat" -> sys_open p args6
-  | "read" | "recvfrom" -> sys_read p args6
-  | "write" | "sendto" -> sys_write p args6
-  | "sendfile" -> sys_sendfile p args6
-  | "close" ->
-    Process.close_fd p (Int64.to_int args6.(0));
+(* The semantics of one decoded syscall.  [path] is argument 0 as a
+   string when dispatch already read it, so it is read at most once. *)
+let run (p : Process.t) (e : Syscalls.entry) ~path ~(args : int64 array) : int64 =
+  match e.kind with
+  | Open | Openat -> sys_open p ~path args
+  | Read | Recvfrom -> sys_read p args
+  | Write | Sendto -> sys_write p args
+  | Sendfile -> sys_sendfile p args
+  | Close ->
+    Process.close_fd p (arg_int args 0);
     0L
-  | "fsync" ->
+  | Fsync ->
     charge p (2 * (cost p).syscall_base);
     0L
-  | "lseek" -> (
-    match Process.find_fd p (Int64.to_int args6.(0)) with
-    | Some (File f) ->
-      f.pos <- Int64.to_int args6.(1);
-      args6.(1)
-    | Some (Sock _) | Some (Conn _) | None -> -1L)
-  | "stat" | "fstat" -> 0L
-  | "socket" -> sys_socket p args6
-  | "bind" -> sys_bind p args6
-  | "listen" -> sys_listen p args6
-  | "connect" -> 0L
-  | "accept" | "accept4" -> sys_accept p args6
-  | "mmap" -> sys_mmap p args6
-  | "mprotect" | "mremap" | "remap_file_pages" -> 0L
-  | "chmod" -> sys_chmod p args6
-  | "setuid" ->
-    p.uid <- Int64.to_int args6.(0);
+  | Lseek -> sys_lseek p args
+  | Socket -> sys_socket p
+  | Bind -> sys_bind p args
+  | Listen -> sys_listen p args
+  | Accept | Accept4 -> sys_accept p args
+  | Mmap -> sys_mmap p args
+  | Chmod -> sys_chmod p ~path args
+  | Setuid ->
+    p.uid <- arg_int args 0;
     0L
-  | "setgid" ->
-    p.gid <- Int64.to_int args6.(0);
+  | Setgid ->
+    p.gid <- arg_int args 0;
     0L
-  | "setreuid" ->
-    p.uid <- Int64.to_int args6.(1);
+  | Setreuid ->
+    p.uid <- arg_int args 1;
     0L
-  | "fork" | "vfork" | "clone" ->
+  | Fork | Vfork | Clone ->
     (* The child inherits a copy of the seccomp policy and stays under
        the same monitor (§7.1); workers are not scheduled separately —
        the parent image serves all connections. *)
     let child = Process.spawn_child p in
     Int64.of_int child.next_pid
-  | "execve" | "execveat" -> 0L
-  | "ptrace" -> 0L
-  | "exit" -> raise (Machine.Program_exit args6.(0))
-  | _ -> 0L
+  | Exit -> raise (Machine.Program_exit (arg args 0))
+  | Stat | Fstat | Connect | Mprotect | Mremap | Remap_file_pages | Execve | Execveat
+  | Ptrace | Getpid | Gettimeofday | Brk | Nanosleep | Futex | Epoll_wait | Rt_sigaction
+  | Unknown ->
+    0L
+
+let execute (p : Process.t) ~sysno ~(args : int64 array) : int64 =
+  run p (Syscalls.decode sysno) ~path:None ~args
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -200,18 +216,21 @@ let dispatch (p : Process.t) (_m : Machine.t) ~sysno ~(args : int64 array) : int
         | None -> ()
       end));
   Process.count_syscall p sysno;
+  let e = Syscalls.decode sysno in
+  (* The path string is read only for a consumer: the exec log keeps it
+     for sensitive path syscalls, and an executed-hook receives it.
+     Reading charges no modelled cycle. *)
   let path =
-    match Syscalls.name sysno with
-    | "execve" | "execveat" | "chmod" | "open" | "openat" | "stat"
-      when Array.length args > 0 ->
-      Some (Machine.read_string p.machine args.(0))
-    | _ -> None
+    if e.path_arg && Array.length args > 0
+       && (e.sensitive || Option.is_some p.on_syscall_executed)
+    then Some (Machine.read_string p.machine args.(0))
+    else None
   in
-  if Syscalls.is_sensitive sysno then Process.log_exec p ~sysno ~args ~path;
+  if e.sensitive then Process.log_exec p ~sysno ~args ~path;
   (match p.on_syscall_executed with
   | Some hook -> hook ~sysno ~args ~path
   | None -> ());
-  execute p ~sysno ~args
+  run p e ~path ~args
 
 (** Wire a process's kernel into its machine.  Returns the process. *)
 let boot (machine : Machine.t) : Process.t =

@@ -9,12 +9,15 @@ module Net = Net
 module Ptrace = Ptrace
 module Process = Process
 
-(** Execute one syscall's semantics (after filtering/tracing). *)
+(** Execute one syscall's semantics with no filtering, tracing or
+    accounting: the same semantics {!dispatch} ends in.  Unknown numbers
+    return [0L]. *)
 val execute : Process.t -> sysno:int -> args:int64 array -> int64
 
 (** The full dispatch pipeline for one invocation: charge base cost,
-    evaluate seccomp (Allow / Kill / Trace-with-verdict), account, then
-    {!execute}.
+    evaluate seccomp (Allow / Kill / Trace-with-verdict), account, log
+    and report the executed syscall, then run its semantics as
+    {!execute} does, reusing the path string if it was already read.
     @raise Machine.Killed on KILL or a tracer denial. *)
 val dispatch : Process.t -> Machine.t -> sysno:int -> args:int64 array -> int64
 

@@ -25,7 +25,8 @@ type t = {
   mutable next_pid : int;
   mutable uid : int;
   mutable gid : int;
-  syscall_counts : (int, int) Hashtbl.t;  (** executed syscalls, by number *)
+  syscall_counts : int array;  (** executed syscalls, by {!Syscalls.slot} *)
+  other_counts : (int, int) Hashtbl.t;  (** executed numbers outside the table *)
   mutable trap_count : int;               (** TRACE stops delivered *)
   mutable io_words_out : int;             (** words sent to clients *)
   mutable io_words_in : int;              (** words read from files/clients *)
@@ -57,7 +58,8 @@ let create (machine : Machine.t) =
     next_pid = 100;
     uid = 0;
     gid = 0;
-    syscall_counts = Hashtbl.create 64;
+    syscall_counts = Array.make Syscalls.slots 0;
+    other_counts = Hashtbl.create 1;
     trap_count = 0;
     io_words_out = 0;
     io_words_in = 0;
@@ -90,15 +92,17 @@ let alloc_fd t entry =
   Hashtbl.replace t.fds fd entry;
   fd
 
-let find_fd t fd = Hashtbl.find_opt t.fds fd
-
 let close_fd t fd = Hashtbl.remove t.fds fd
 
-let count_syscall t nr =
-  Hashtbl.replace t.syscall_counts nr
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.syscall_counts nr))
+let syscall_count t nr =
+  let s = Syscalls.slot nr in
+  if s >= 0 then t.syscall_counts.(s)
+  else match Hashtbl.find t.other_counts nr with n -> n | exception Not_found -> 0
 
-let syscall_count t nr = Option.value ~default:0 (Hashtbl.find_opt t.syscall_counts nr)
+let count_syscall t nr =
+  let s = Syscalls.slot nr in
+  if s >= 0 then t.syscall_counts.(s) <- t.syscall_counts.(s) + 1
+  else Hashtbl.replace t.other_counts nr (1 + syscall_count t nr)
 
 let log_exec t ~sysno ~args ~path =
   t.exec_log <- { ev_sysno = sysno; ev_args = args; ev_path = path } :: t.exec_log

@@ -26,7 +26,8 @@ type t = {
   mutable next_pid : int;
   mutable uid : int;
   mutable gid : int;
-  syscall_counts : (int, int) Hashtbl.t;  (** executed syscalls, by number *)
+  syscall_counts : int array;  (** executed syscalls, by {!Syscalls.slot} *)
+  other_counts : (int, int) Hashtbl.t;  (** executed numbers outside the table *)
   mutable trap_count : int;               (** TRACE stops delivered *)
   mutable io_words_out : int;             (** words sent to clients *)
   mutable io_words_in : int;              (** words read from files/clients *)
@@ -48,7 +49,6 @@ val create : Machine.t -> t
 val spawn_child : t -> t
 
 val alloc_fd : t -> fd_entry -> int
-val find_fd : t -> int -> fd_entry option
 val close_fd : t -> int -> unit
 
 val count_syscall : t -> int -> unit

@@ -6,6 +6,8 @@
    callable sensitive calls (§7.1).  The plain system-call-filtering
    baseline uses the same engine with an allowlist policy. *)
 
+module Addr_tbl = Machine.Memory.Addr_tbl
+
 type action = Allow | Kill | Trace
 
 let action_name = function Allow -> "ALLOW" | Kill -> "KILL" | Trace -> "TRACE"
@@ -49,21 +51,22 @@ type flow_node = {
   fn_sysno : int option;
   fn_checks : (int * int64 list) list;
   fn_resolvable : bool;
-  fn_succs : (int64, unit) Hashtbl.t;
+  fn_succs : unit Addr_tbl.t;
 }
 
 (** Automaton position: before the first sensitive event, at a known
     node, or desynchronised ([Fs_any]: a full-path verdict allowed an
     event the automaton could not track; every edge check passes until
     it re-synchronises at the next known node). *)
-type flow_state = Fs_start | Fs_at of int64 | Fs_any
+type flow_state = Fs_start | Fs_at of flow_node | Fs_any
 
 type flow_automaton = {
   fa_mode : flow_mode;
-  fa_nodes : (int64, flow_node) Hashtbl.t;
-  fa_starts : (int64, unit) Hashtbl.t;
-  fa_indirect_sysnos : (int, unit) Hashtbl.t;
-      (** sensitive numbers invocable through an indirect callsite *)
+  fa_nodes : flow_node Addr_tbl.t;
+  fa_starts : unit Addr_tbl.t;
+  mutable fa_indirect_slots : int;
+      (** one bit per syscall-table slot: the sensitive numbers
+          invocable through an indirect callsite *)
   mutable fa_state : flow_state;
   mutable fa_resolved : int;       (** calls resolved without a trap *)
   mutable fa_fallthroughs : int;   (** sensitive traps passed to the full path *)
@@ -72,12 +75,15 @@ type flow_automaton = {
       (** observation hook (flight recorder); never charges cycles *)
 }
 
+(* The slot bits must fit in one immediate int. *)
+let () = assert (Syscalls.slots < Sys.int_size)
+
 let flow_create ~mode =
   {
     fa_mode = mode;
-    fa_nodes = Hashtbl.create 64;
-    fa_starts = Hashtbl.create 16;
-    fa_indirect_sysnos = Hashtbl.create 4;
+    fa_nodes = Addr_tbl.create 64;
+    fa_starts = Addr_tbl.create 16;
+    fa_indirect_slots = 0;
     fa_state = Fs_start;
     fa_resolved = 0;
     fa_fallthroughs = 0;
@@ -85,31 +91,31 @@ let flow_create ~mode =
     fa_on_resolve = None;
   }
 
-let flow_add_node fa (node : flow_node) = Hashtbl.replace fa.fa_nodes node.fn_rip node
+let flow_add_node fa (node : flow_node) = Addr_tbl.replace fa.fa_nodes node.fn_rip node
 
-let flow_add_start fa rip = Hashtbl.replace fa.fa_starts rip ()
+let flow_add_start fa rip = Addr_tbl.replace fa.fa_starts rip ()
 
 let flow_add_edge fa ~src ~dst =
-  match Hashtbl.find_opt fa.fa_nodes src with
-  | Some n -> Hashtbl.replace n.fn_succs dst ()
+  match Addr_tbl.find_opt fa.fa_nodes src with
+  | Some n -> Addr_tbl.replace n.fn_succs dst ()
   | None -> invalid_arg "Seccomp.flow_add_edge: unknown source node"
 
-let flow_add_indirect_sysno fa nr = Hashtbl.replace fa.fa_indirect_sysnos nr ()
+let flow_add_indirect_sysno fa nr =
+  let s = Syscalls.slot nr in
+  if s < 0 then invalid_arg (Printf.sprintf "Seccomp.flow_add_indirect_sysno: %d is not in the table" nr);
+  fa.fa_indirect_slots <- fa.fa_indirect_slots lor (1 lsl s)
 
-let flow_node_count fa = Hashtbl.length fa.fa_nodes
+let flow_node_count fa = Addr_tbl.length fa.fa_nodes
 
 let flow_edge_count fa =
-  Hashtbl.fold (fun _ n acc -> acc + Hashtbl.length n.fn_succs) fa.fa_nodes 0
+  Addr_tbl.fold (fun _ n acc -> acc + Addr_tbl.length n.fn_succs) fa.fa_nodes 0
 
 (** Is the transition current-state -> [rip] an edge of the automaton? *)
 let flow_edge_ok fa rip =
   match fa.fa_state with
   | Fs_any -> true
-  | Fs_start -> Hashtbl.mem fa.fa_starts rip
-  | Fs_at prev -> (
-    match Hashtbl.find_opt fa.fa_nodes prev with
-    | Some n -> Hashtbl.mem n.fn_succs rip
-    | None -> false)
+  | Fs_start -> Addr_tbl.mem fa.fa_starts rip
+  | Fs_at prev -> Addr_tbl.mem prev.fn_succs rip
 
 let flow_checks_ok (node : flow_node) (args : int64 array) =
   List.for_all
@@ -117,7 +123,26 @@ let flow_checks_ok (node : flow_node) (args : int64 array) =
       pos < Array.length args && List.exists (Int64.equal args.(pos)) allowed)
     node.fn_checks
 
+let indirect_ok fa sysno =
+  let s = Syscalls.slot sysno in
+  s >= 0 && fa.fa_indirect_slots land (1 lsl s) <> 0
+
 type flow_decision = Flow_resolve | Flow_fallthrough | Flow_kill
+
+let flow_miss fa =
+  match fa.fa_mode with
+  | Flow_tiered ->
+    fa.fa_fallthroughs <- fa.fa_fallthroughs + 1;
+    Flow_fallthrough
+  | Flow_standalone ->
+    fa.fa_kills <- fa.fa_kills + 1;
+    Flow_kill
+
+let flow_resolve fa node ~sysno ~rip =
+  fa.fa_resolved <- fa.fa_resolved + 1;
+  fa.fa_state <- Fs_at node;
+  (match fa.fa_on_resolve with Some f -> f ~sysno ~rip | None -> ());
+  Flow_resolve
 
 (** One automaton step for a sensitive syscall about to trap.  Only
     [sysno], the callsite address and the register-file arguments are
@@ -126,38 +151,24 @@ type flow_decision = Flow_resolve | Flow_fallthrough | Flow_kill
     pre-filter never decides an attack); in standalone mode a miss is
     [Flow_kill]. *)
 let flow_eval fa ~sysno ~rip ~(args : int64 array) : flow_decision =
-  let miss () =
-    match fa.fa_mode with
-    | Flow_tiered ->
-      fa.fa_fallthroughs <- fa.fa_fallthroughs + 1;
-      Flow_fallthrough
-    | Flow_standalone ->
-      fa.fa_kills <- fa.fa_kills + 1;
-      Flow_kill
-  in
-  let resolve node =
-    fa.fa_resolved <- fa.fa_resolved + 1;
-    fa.fa_state <- Fs_at node.fn_rip;
-    (match fa.fa_on_resolve with Some f -> f ~sysno ~rip | None -> ());
-    Flow_resolve
-  in
-  match Hashtbl.find_opt fa.fa_nodes rip with
-  | None -> miss ()
-  | Some node ->
+  match Addr_tbl.find fa.fa_nodes rip with
+  | exception Not_found -> flow_miss fa
+  | node ->
     let sysno_ok =
       match node.fn_sysno with
       | Some nr -> nr = sysno
-      | None -> Hashtbl.mem fa.fa_indirect_sysnos sysno
+      | None -> indirect_ok fa sysno
     in
-    if not (sysno_ok && flow_edge_ok fa rip) then miss ()
+    if not (sysno_ok && flow_edge_ok fa rip) then flow_miss fa
     else begin
       match fa.fa_mode with
       | Flow_standalone ->
         (* SFP-style in-kernel argument check: positions with a
            statically-known value set must carry one of its values. *)
-        if flow_checks_ok node args then resolve node else miss ()
+        if flow_checks_ok node args then flow_resolve fa node ~sysno ~rip else flow_miss fa
       | Flow_tiered ->
-        if node.fn_resolvable && flow_checks_ok node args then resolve node
+        if node.fn_resolvable && flow_checks_ok node args then
+          flow_resolve fa node ~sysno ~rip
         else begin
           fa.fa_fallthroughs <- fa.fa_fallthroughs + 1;
           Flow_fallthrough
@@ -168,8 +179,10 @@ let flow_eval fa ~sysno ~rip ~(args : int64 array) : flow_decision =
     re-synchronise.  A known node pins the position exactly; an unknown
     callsite desynchronises to [Fs_any]. *)
 let flow_note_allowed fa ~rip =
-  if Hashtbl.mem fa.fa_nodes rip then fa.fa_state <- Fs_at rip
-  else fa.fa_state <- Fs_any
+  fa.fa_state <-
+    (match Addr_tbl.find fa.fa_nodes rip with
+    | node -> Fs_at node
+    | exception Not_found -> Fs_any)
 
 let flow_stats fa = (fa.fa_resolved, fa.fa_fallthroughs, fa.fa_kills)
 
@@ -177,7 +190,8 @@ let flow_stats fa = (fa.fa_resolved, fa.fa_fallthroughs, fa.fa_kills)
 (* The filter                                                          *)
 
 type filter = {
-  rules : (int, action) Hashtbl.t;
+  actions : action array;  (** one rule per syscall-table slot *)
+  others : (int, action) Hashtbl.t;  (** rules for numbers outside the table *)
   default : action;
   mutable evaluations : int;
   mutable flow : flow_automaton option;
@@ -185,11 +199,17 @@ type filter = {
 }
 
 let create ?(default = Allow) () =
-  { rules = Hashtbl.create 64; default; evaluations = 0; flow = None }
+  { actions = Array.make Syscalls.slots default; others = Hashtbl.create 1; default;
+    evaluations = 0; flow = None }
 
-let set_rule filter nr action = Hashtbl.replace filter.rules nr action
+let set_rule filter nr action =
+  let s = Syscalls.slot nr in
+  if s >= 0 then filter.actions.(s) <- action else Hashtbl.replace filter.others nr action
 
-let rule filter nr = Option.value ~default:filter.default (Hashtbl.find_opt filter.rules nr)
+let rule filter nr =
+  let s = Syscalls.slot nr in
+  if s >= 0 then Array.unsafe_get filter.actions s
+  else match Hashtbl.find filter.others nr with a -> a | exception Not_found -> filter.default
 
 (** Evaluate the filter for a syscall number (charges nothing itself;
     the kernel charges [Cost.seccomp_eval] per evaluation). *)
@@ -215,7 +235,8 @@ let flow filter = filter.flow
     workers under the same monitor. *)
 let copy filter =
   {
-    rules = Hashtbl.copy filter.rules;
+    actions = Array.copy filter.actions;
+    others = Hashtbl.copy filter.others;
     default = filter.default;
     evaluations = 0;
     flow = filter.flow;

@@ -38,16 +38,18 @@ type flow_node = {
       (** every AI-checked argument position is constrained by a check
           or provably kernel-derived: tiered mode may resolve without
           fetching tracee state *)
-  fn_succs : (int64, unit) Hashtbl.t;
+  fn_succs : unit Machine.Memory.Addr_tbl.t;
 }
 
-type flow_state = Fs_start | Fs_at of int64 | Fs_any
+type flow_state = Fs_start | Fs_at of flow_node | Fs_any
 
 type flow_automaton = {
   fa_mode : flow_mode;
-  fa_nodes : (int64, flow_node) Hashtbl.t;
-  fa_starts : (int64, unit) Hashtbl.t;
-  fa_indirect_sysnos : (int, unit) Hashtbl.t;
+  fa_nodes : flow_node Machine.Memory.Addr_tbl.t;
+  fa_starts : unit Machine.Memory.Addr_tbl.t;
+  mutable fa_indirect_slots : int;
+      (** one bit per {!Syscalls.slot}: the numbers an indirect
+          callsite may invoke *)
   mutable fa_state : flow_state;
   mutable fa_resolved : int;
   mutable fa_fallthroughs : int;
@@ -62,6 +64,7 @@ val flow_add_start : flow_automaton -> int64 -> unit
 (** @raise Invalid_argument if the source node is unknown. *)
 val flow_add_edge : flow_automaton -> src:int64 -> dst:int64 -> unit
 
+(** @raise Invalid_argument for a number outside the syscall table. *)
 val flow_add_indirect_sysno : flow_automaton -> int -> unit
 val flow_node_count : flow_automaton -> int
 val flow_edge_count : flow_automaton -> int

@@ -1,7 +1,8 @@
 (* A minimal self-contained JSON value type with an emitter and a
    recursive-descent parser — just enough for the bench harness's
-   machine-readable output (`bench/main.exe --json`) and its round-trip
-   test, with no external dependency. *)
+   committed artifacts (`bench/main.exe --emit NAME|all`, compared by
+   `--check`), their tests and the perfbench tooling, with no external
+   dependency. *)
 
 type t =
   | Null

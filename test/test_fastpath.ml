@@ -2,7 +2,8 @@
    epoch invalidation, key sensitivity down to single-bit token
    corruption), the coalesced ptrace snapshot (per-trap call count),
    the cache-on/off cycle win on the real workloads, the Table 6
-   invariance, the monitor's allocation gate, and the JSON round-trip
+   invariance, the monitor's and the kernel's allocation gates, and the
+   JSON round-trip
    the bench artifacts rely on. *)
 
 module VC = Bastion.Verdict_cache
@@ -280,10 +281,8 @@ let prop_json_roundtrip =
 (* Minor-heap words the monitor allocates per trap on a small NGINX
    session under Bastion+fs full checking, deployed as [bastion run]
    deploys it (behind the tiered pre-filter, so 343 of its 449 syscalls
-   trap).  The
-   tracer hook is bracketed with [Gc.minor_words], which reads an
-   unboxed counter, so the bracket itself allocates nothing.  Words are
-   deterministic for a given build, so the bound does not depend on
+   trap).  The tracer hook is metered with [Testlib.meter_hook].  Words
+   are deterministic for a given build, so the bound does not depend on
    host noise.  The monitor that re-derived metadata on every trap
    allocated 2,152.6 words per trap here; decoding the metadata once per
    monitor brought that to 343.8.  The gate allows 1.25x the latter. *)
@@ -293,20 +292,12 @@ let monitor_words_per_trap () =
       (D.nginx ~params:Workloads.Nginx_model.small ())
       (D.Bastion_fs Bastion.Monitor.Fs_full)
   in
-  let words = ref 0. and traps = ref 0 in
+  let mon = Testlib.meter () in
   (match pr.pr_process.tracer_hook with
   | None -> Alcotest.fail "no tracer hook on a monitored session"
-  | Some hook ->
-    pr.pr_process.tracer_hook <-
-      Some
-        (fun p ~sysno ~args ->
-          let w0 = Gc.minor_words () in
-          let verdict = hook p ~sysno ~args in
-          words := !words +. (Gc.minor_words () -. w0);
-          incr traps;
-          verdict));
+  | Some hook -> pr.pr_process.tracer_hook <- Some (Testlib.meter_hook mon hook));
   ignore (D.execute pr);
-  (!traps, !words /. float_of_int !traps)
+  (mon.calls, Testlib.words_per_call mon)
 
 let test_monitor_alloc_gate () =
   let traps, per_trap = monitor_words_per_trap () in
@@ -314,6 +305,37 @@ let test_monitor_alloc_gate () =
   let bound = 1.25 *. 343.8 in
   if per_trap > bound then
     Alcotest.failf "monitor allocates %.1f words per trap (bound %.1f)" per_trap bound
+
+(* Minor-heap words the kernel model allocates per syscall on a small
+   NGINX session under full BASTION behind the tiered pre-filter (the
+   shipped deployment).  As perfbench attributes kernel time, this is
+   the machine's [on_syscall] hook minus the tracer hook nested in it.
+   Hashing each number and name, copying the arguments into a fresh
+   array and reading every path cost 53.8 words per syscall here; the
+   decoded syscall table brought that to 18.13, most of it the 12
+   clones' child processes and the paths [open] reads.  The gate
+   allows 1.25x the latter. *)
+let kernel_words_per_syscall () =
+  let pr =
+    D.prepare ~prefilter:Kernel.Seccomp.Flow_tiered
+      (D.nginx ~params:Workloads.Nginx_model.small ())
+      D.Bastion_full
+  in
+  let kernel = Testlib.meter () and mon = Testlib.meter () in
+  (match (pr.pr_machine.on_syscall, pr.pr_process.tracer_hook) with
+  | Some on_syscall, Some hook ->
+    pr.pr_machine.on_syscall <- Some (Testlib.meter_hook kernel on_syscall);
+    pr.pr_process.tracer_hook <- Some (Testlib.meter_hook mon hook)
+  | _ -> Alcotest.fail "a monitored session has a syscall handler and a tracer hook");
+  ignore (D.execute pr);
+  (kernel.calls, float_of_int (kernel.words - mon.words) /. float_of_int kernel.calls)
+
+let test_kernel_alloc_gate () =
+  let syscalls, per_syscall = kernel_words_per_syscall () in
+  Alcotest.(check int) "syscalls in the small session" 449 syscalls;
+  let bound = 1.25 *. 18.13 in
+  if per_syscall > bound then
+    Alcotest.failf "kernel allocates %.2f words per syscall (bound %.2f)" per_syscall bound
 
 let suites =
   [
@@ -332,6 +354,7 @@ let suites =
         Alcotest.test_case "Table 6 invariant under cache" `Slow
           test_table6_invariant_under_cache;
         Alcotest.test_case "monitor allocation per trap" `Quick test_monitor_alloc_gate;
+        Alcotest.test_case "kernel allocation per syscall" `Quick test_kernel_alloc_gate;
       ] );
     ( "fastpath-json",
       [

@@ -333,3 +333,264 @@ let suites =
   | [ (name, cases) ] ->
     [ (name, cases @ [ Alcotest.test_case "fork/clone policy inheritance" `Quick test_policy_inheritance ]) ]
   | other -> other
+
+(* --- the decoded syscall table ----------------------------------------- *)
+
+module Sc = Kernel.Syscalls
+
+(* The C-prototype arities the kernel model has always used, as the
+   name-keyed oracle the decoded table must reproduce. *)
+let reference_arity = function
+  | "execve" | "connect" | "bind" | "read" | "write" | "mprotect" | "open" | "lseek"
+  | "accept" | "chmod" | "setreuid" | "socket" ->
+    3
+  | "mmap" -> 6
+  | "execveat" | "mremap" | "remap_file_pages" -> 5
+  | "accept4" | "openat" | "sendfile" -> 4
+  | "listen" | "stat" | "fstat" | "recvfrom" | "sendto" | "futex" -> 2
+  | "setuid" | "setgid" | "close" | "fsync" | "exit" | "brk" | "nanosleep" | "ptrace"
+  | "clone" ->
+    1
+  | "fork" | "vfork" | "getpid" | "gettimeofday" -> 0
+  | _ -> 6
+
+let test_table_round_trip () =
+  Alcotest.(check int) "one slot per entry" (List.length Sc.table) Sc.slots;
+  let kinds = ref [] in
+  List.iteri
+    (fun i (name, nr, category) ->
+      let e = Sc.decode (Sc.number name) in
+      Alcotest.(check int) (name ^ " slot by number") i (Sc.slot nr);
+      Alcotest.(check string) (name ^ " name") name (Sc.name nr);
+      Alcotest.(check bool) (name ^ " category") true (e.category = category);
+      Alcotest.(check bool) (name ^ " known kind") true (e.kind <> Sc.Unknown);
+      Alcotest.(check bool) (name ^ " kind unique") false (List.mem e.kind !kinds);
+      kinds := e.kind :: !kinds;
+      Alcotest.(check int) (name ^ " natural arity") (reference_arity name)
+        (Sc.natural_arity (Sc.number name));
+      Alcotest.(check bool) (name ^ " sensitive") (List.mem name Sc.sensitive_names)
+        e.sensitive;
+      Alcotest.(check bool) (name ^ " path argument")
+        (List.mem name [ "execve"; "execveat"; "chmod"; "open"; "openat"; "stat" ])
+        e.path_arg)
+    Sc.table;
+  List.iter
+    (fun nr ->
+      Alcotest.(check int) (Printf.sprintf "%d unknown" nr) (-1) (Sc.slot nr);
+      Alcotest.(check bool) (Printf.sprintf "%d decodes to unknown" nr) true
+        ((Sc.decode nr).kind = Sc.Unknown);
+      Alcotest.(check int) (Printf.sprintf "%d arity" nr) 6 (Sc.natural_arity nr))
+    [ min_int; -1; 6; 321; 323; 512; max_int ]
+
+(* Syscall numbers a hostile tracee may pass: the table's own, the
+   edges of the int range, the neighbours of the table's largest
+   number, and anything else. *)
+let gen_sysno =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl (List.map (fun (_, nr, _) -> nr) Sc.table));
+        (2, oneofl [ min_int; max_int; -1; 0; 321; 322; 323; 511; 512 ]);
+        (2, int);
+        (1, int_range (-8) 600);
+      ])
+
+let arb_sysno = QCheck.make ~print:string_of_int gen_sysno
+
+let gen_action = QCheck.Gen.oneofl Kernel.Seccomp.[ Allow; Kill; Trace ]
+
+let arb_rules =
+  QCheck.make
+    ~print:QCheck.Print.(list (pair int (fun a -> Kernel.Seccomp.action_name a)))
+    QCheck.Gen.(list_size (int_bound 30) (pair gen_sysno gen_action))
+
+(* The rule a filter built from [rules] (later ones win) must give. *)
+let reference_rule ~default rules nr =
+  match List.assoc_opt nr (List.rev rules) with Some a -> a | None -> default
+
+(* A process whose program does nothing, for driving the kernel
+   directly. *)
+let idle_process () =
+  snd
+    (run_kernel_prog (fun pb ->
+         let fb = B.func pb "main" ~params:[] in
+         B.halt fb;
+         B.seal fb))
+
+let prop_seccomp_hostile_numbers =
+  let module S = Kernel.Seccomp in
+  let flip (nr, a) = (nr, if a = S.Allow then S.Trace else S.Allow) in
+  QCheck.Test.make ~count:300 ~name:"seccomp rules agree with a reference on any number"
+    QCheck.(triple arb_rules arb_rules (list_of_size (Gen.int_bound 20) arb_sysno))
+    (fun (before, after, probes) ->
+      let f = S.create ~default:S.Kill () in
+      List.iter (fun (nr, a) -> S.set_rule f nr a) before;
+      let c = S.copy f in
+      (* Rules set after the copy, on either side, must not leak into
+         the other. *)
+      List.iter (fun (nr, a) -> S.set_rule f nr a) after;
+      List.iter (fun (nr, a) -> S.set_rule c nr a) (List.map flip after);
+      let numbers = probes @ List.map fst before @ List.map fst after in
+      List.for_all
+        (fun nr ->
+          S.evaluate f nr = S.rule f nr
+          && S.rule f nr = reference_rule ~default:S.Kill (before @ after) nr
+          && S.evaluate c nr = reference_rule ~default:S.Kill (before @ List.map flip after) nr)
+        numbers
+      && S.evaluations f = List.length numbers
+      && S.evaluations c = List.length numbers)
+
+let prop_syscall_counts_hostile_numbers =
+  QCheck.Test.make ~count:200 ~name:"per-slot syscall counts agree with a Hashtbl"
+    QCheck.(pair (list arb_sysno) (list_of_size (Gen.int_bound 10) arb_sysno))
+    (fun (calls, probes) ->
+      let proc = idle_process () in
+      let reference = Hashtbl.create 16 in
+      List.iter
+        (fun nr ->
+          Kernel.Process.count_syscall proc nr;
+          Hashtbl.replace reference nr
+            (1 + Option.value ~default:0 (Hashtbl.find_opt reference nr)))
+        calls;
+      List.for_all
+        (fun nr ->
+          Kernel.Process.syscall_count proc nr
+          = Option.value ~default:0 (Hashtbl.find_opt reference nr))
+        (probes @ calls))
+
+let prop_execute_unknown_numbers =
+  QCheck.Test.make ~count:300 ~name:"executing an unknown number returns 0, never raises"
+    QCheck.(pair arb_sysno (array_of_size (Gen.int_bound 8) (map Int64.of_int int)))
+    (fun (nr, args) ->
+      QCheck.assume (Sc.slot nr < 0);
+      Kernel.execute (idle_process ()) ~sysno:nr ~args = 0L)
+
+(* --- path delivery ----------------------------------------------------- *)
+
+let path_syscalls = [ "execve"; "execveat"; "chmod"; "open"; "openat"; "stat" ]
+
+(* Every table syscall is called once with a path in argument 0 (exit
+   last): exactly the six path syscalls hand it to the executed-hook. *)
+let test_path_delivery () =
+  let machine, proc =
+    run_kernel_prog (fun pb ->
+        let fb = B.func pb "main" ~params:[] in
+        List.iter
+          (fun (name, _, _) ->
+            if name <> "exit" then B.call fb name [ Cstr "/p"; const 0; const 0 ])
+          Sc.table;
+        B.call fb "exit" [ Cstr "/p" ];
+        B.halt fb;
+        B.seal fb)
+  in
+  let seen = ref [] in
+  proc.on_syscall_executed <-
+    Some (fun ~sysno ~args:_ ~path -> seen := (Sc.name sysno, path) :: !seen);
+  ignore (Machine.run machine);
+  Alcotest.(check int) "every syscall executed" (List.length Sc.table) (List.length !seen);
+  List.iter
+    (fun (name, path) ->
+      let want = if List.mem name path_syscalls then Some "/p" else None in
+      Alcotest.(check (option string)) (name ^ " path") want path)
+    !seen;
+  Alcotest.(check (option string)) "fstat gets no path" None (List.assoc "fstat" !seen)
+
+(* With no hook installed, the exec log still keeps the paths of the
+   sensitive path syscalls. *)
+let test_exec_log_paths_without_hook () =
+  let machine, proc =
+    run_kernel_prog (fun pb ->
+        let fb = B.func pb "main" ~params:[] in
+        B.call fb "chmod" [ Cstr "/etc/shadow"; const 0o777 ];
+        B.call fb "execve" [ Cstr "/bin/sh"; Null; Null ];
+        B.call fb "open" [ Cstr "/etc/passwd"; const 0 ];
+        B.halt fb;
+        B.seal fb)
+  in
+  Testlib.check_exit (Machine.run machine);
+  let path_of name =
+    match Kernel.Process.executed proc name with
+    | [ e ] -> e.ev_path
+    | _ -> Alcotest.failf "expected one %s event" name
+  in
+  Alcotest.(check (option string)) "execve path" (Some "/bin/sh") (path_of "execve");
+  Alcotest.(check (option string)) "chmod path" (Some "/etc/shadow") (path_of "chmod");
+  Alcotest.(check int) "open is not logged" 0
+    (List.length (Kernel.Process.executed proc "open"))
+
+(* --- argument hygiene -------------------------------------------------- *)
+
+(* A read of [count] words from an accepted connection: (result, words
+   in, final modelled cycles). *)
+let conn_read count =
+  let machine, proc =
+    run_kernel_prog (fun pb ->
+        B.global pb "g_n" i64 Sil.Prog.Zero;
+        let fb = B.func pb "main" ~params:[] in
+        let s = B.local fb "s" i64 and c = B.local fb "c" i64 and n = B.local fb "n" i64 in
+        B.call fb ~dst:s "socket" [ const 2; const 1; const 0 ];
+        B.call fb "bind" [ Var s; const 80 ];
+        B.call fb "listen" [ Var s; const 1 ];
+        B.call fb ~dst:c "accept" [ Var s; Null; Null ];
+        B.call fb ~dst:n "read" [ Var c; Null; const count ];
+        B.store fb (Sil.Place.Lglobal "g_n") (Var n);
+        B.halt fb;
+        B.seal fb)
+  in
+  ignore (Kernel.Net.enqueue proc.net 80 ~request_words:4 ~payload:"GET");
+  Testlib.check_exit (Machine.run machine);
+  ( Machine.peek machine (Machine.global_address machine "g_n"),
+    proc.io_words_in,
+    machine.stats.cycles )
+
+(* A negative count reads exactly what a zero count reads. *)
+let test_conn_read_negative_count () =
+  let n, words_in, cycles = conn_read (-50) in
+  let _, _, zero_cycles = conn_read 0 in
+  Alcotest.(check int64) "reads nothing" 0L n;
+  Alcotest.(check int) "no words in" 0 words_in;
+  Alcotest.(check int) "charged as a zero-word read" zero_cycles cycles
+
+let test_lseek_negative_offset () =
+  let machine, proc =
+    run_kernel_prog (fun pb ->
+        B.global pb "g_seek" i64 Sil.Prog.Zero;
+        B.global pb "g_n" i64 Sil.Prog.Zero;
+        let fb = B.func pb "main" ~params:[] in
+        let fd = B.local fb "fd" i64 and r = B.local fb "r" i64 and n = B.local fb "n" i64 in
+        B.call fb ~dst:fd "open" [ Cstr "/data/file"; const 0 ];
+        B.call fb ~dst:r "lseek" [ Var fd; const (-5); const 0 ];
+        B.store fb (Sil.Place.Lglobal "g_seek") (Var r);
+        B.call fb ~dst:n "read" [ Var fd; Null; const 100 ];
+        B.store fb (Sil.Place.Lglobal "g_n") (Var n);
+        B.halt fb;
+        B.seal fb)
+  in
+  Kernel.Vfs.add_file proc.vfs "/data/file" ~size_words:10;
+  Testlib.check_exit (Machine.run machine);
+  Alcotest.(check int64) "EINVAL" (-22L)
+    (Machine.peek machine (Machine.global_address machine "g_seek"));
+  Alcotest.(check int64) "position unchanged: the whole file, no more" 10L
+    (Machine.peek machine (Machine.global_address machine "g_n"))
+
+let suites =
+  match suites with
+  | [ (name, cases) ] ->
+    [
+      ( name,
+        cases
+        @ [
+            Alcotest.test_case "decoded table round-trips" `Quick test_table_round_trip;
+            QCheck_alcotest.to_alcotest prop_seccomp_hostile_numbers;
+            QCheck_alcotest.to_alcotest prop_syscall_counts_hostile_numbers;
+            QCheck_alcotest.to_alcotest prop_execute_unknown_numbers;
+            Alcotest.test_case "path delivery to the executed-hook" `Quick test_path_delivery;
+            Alcotest.test_case "exec log keeps paths without a hook" `Quick
+              test_exec_log_paths_without_hook;
+            Alcotest.test_case "conn read clamps a negative count" `Quick
+              test_conn_read_negative_count;
+            Alcotest.test_case "lseek rejects a negative offset" `Quick
+              test_lseek_negative_offset;
+          ] );
+    ]
+  | other -> other

@@ -17,7 +17,7 @@ let mk_node ?(checks = []) ?(resolvable = true) ~rip ~sysno () : S.flow_node =
     fn_sysno = sysno;
     fn_checks = checks;
     fn_resolvable = resolvable;
-    fn_succs = Hashtbl.create 4;
+    fn_succs = Machine.Memory.Addr_tbl.create 4;
   }
 
 (* A: start, unconstrained.  B: follows A, arg0 must be 1 or 2.
@@ -255,6 +255,25 @@ let prop_attack_tier_equivalence =
       && (not (Runner.blocked r.r_full))
          || Runner.catching_tier r <> Runner.Tier_uncaught)
 
+(* An indirect callsite resolves exactly the numbers registered as
+   indirectly callable, checked with every edge open (desynchronised),
+   so only the number can reject. *)
+let test_engine_indirect_numbers () =
+  let fa = mk_automaton S.Flow_tiered in
+  List.iter
+    (fun nr ->
+      S.flow_note_allowed fa ~rip:0x999L;
+      Alcotest.check decision (Printf.sprintf "indirect node rejects %d" nr)
+        S.Flow_fallthrough
+        (S.flow_eval fa ~sysno:nr ~rip:0x400L ~args:[||]))
+    [ 10; 9; 322; 11; -1; min_int; max_int ];
+  S.flow_note_allowed fa ~rip:0x999L;
+  Alcotest.check decision "indirect node takes 59" S.Flow_resolve
+    (S.flow_eval fa ~sysno:59 ~rip:0x400L ~args:[||]);
+  Alcotest.check_raises "numbers outside the table cannot be registered"
+    (Invalid_argument "Seccomp.flow_add_indirect_sysno: 11 is not in the table")
+    (fun () -> S.flow_add_indirect_sysno fa 11)
+
 let suites =
   [
     ( "prefilter",
@@ -269,5 +288,9 @@ let suites =
           test_extraction_invariants;
       ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_benign_tier_equivalence; prop_attack_tier_equivalence ] );
+          [ prop_benign_tier_equivalence; prop_attack_tier_equivalence ]
+      @ [
+          Alcotest.test_case "automaton engine: indirect numbers" `Quick
+            test_engine_indirect_numbers;
+        ] );
   ]

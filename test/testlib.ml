@@ -88,3 +88,35 @@ let run_protected ?monitor_config prog =
   let session = Bastion.Api.launch ?monitor_config protected_prog () in
   let outcome = Machine.run session.machine in
   (outcome, session)
+
+(* --- allocation meters ------------------------------------------------- *)
+
+(** Minor-heap words allocated inside metered calls, and the number of
+    calls. *)
+type meter = { mutable words : int; mutable calls : int }
+
+let meter () = { words = 0; calls = 0 }
+
+(* [Gc.minor_words] reads an unboxed counter and the totals are
+   immediate ints, so the bracket allocates nothing itself, not even
+   when one meter's bracket runs inside another's. *)
+let minor_words () = int_of_float (Gc.minor_words ())
+
+let settle m w0 =
+  m.words <- m.words + (minor_words () - w0);
+  m.calls <- m.calls + 1
+
+(** [meter_hook m h] is the per-event hook [h] (a machine's
+    [on_syscall] or a process's [tracer_hook]) with the words each call
+    allocates added to [m]. *)
+let meter_hook m h =
+  let metered x ~sysno ~args =
+    let w0 = minor_words () in
+    match h x ~sysno ~args with
+    | v -> settle m w0; v
+    | exception e -> settle m w0; raise e
+  in
+  metered
+
+(** Words per call of [m]. *)
+let words_per_call m = float_of_int m.words /. float_of_int m.calls
