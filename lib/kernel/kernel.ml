@@ -61,15 +61,17 @@ let sys_write (p : Process.t) args =
     Int64.of_int count
   | Sock _ | (exception Not_found) -> -1L
 
+(* sendfile(out_fd, in_fd, offset, count): sends at most the words
+   left in [in_fd], which must be an open file. *)
 let sys_sendfile (p : Process.t) args =
-  (* sendfile(out_fd, in_fd, offset, count) *)
-  let count = max 0 (arg_int args 3) in
-  (match Hashtbl.find p.fds (arg_int args 1) with
-  | File f -> f.pos <- f.pos + min count (f.file.size_words - f.pos)
-  | Sock _ | Conn _ | (exception Not_found) -> ());
-  p.io_words_out <- p.io_words_out + count;
-  charge p ((cost p).io_per_word * count);
-  Int64.of_int count
+  match Hashtbl.find p.fds (arg_int args 1) with
+  | File f ->
+    let n = max 0 (min (arg_int args 3) (f.file.size_words - f.pos)) in
+    f.pos <- f.pos + n;
+    p.io_words_out <- p.io_words_out + n;
+    charge p ((cost p).io_per_word * n);
+    Int64.of_int n
+  | Sock _ | Conn _ | (exception Not_found) -> -1L
 
 (* A negative offset, or one past [max_int], is EINVAL and leaves the
    position alone. *)
@@ -151,8 +153,7 @@ let run (p : Process.t) (e : Syscalls.entry) ~path ~(args : int64 array) : int64
     (* The child inherits a copy of the seccomp policy and stays under
        the same monitor (§7.1); workers are not scheduled separately —
        the parent image serves all connections. *)
-    let child = Process.spawn_child p in
-    Int64.of_int child.next_pid
+    Int64.of_int (Process.spawn_child p).pid
   | Exit -> raise (Machine.Program_exit (arg args 0))
   | Stat | Fstat | Connect | Mprotect | Mremap | Remap_file_pages | Execve | Execveat
   | Ptrace | Getpid | Gettimeofday | Brk | Nanosleep | Futex | Epoll_wait | Rt_sigaction

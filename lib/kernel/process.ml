@@ -1,8 +1,8 @@
 (* A process: a machine image plus kernel-side state (file descriptors,
    seccomp policy, attached tracer, accounting).  Worker processes
-   spawned by clone/fork share the parent's policy (§7.1), which the
-   simulation models by running all workers within one process image and
-   counting the clone calls. *)
+   spawned by clone/fork inherit a copy of the parent's policy (§7.1);
+   the simulation runs all workers within one process image, so a child
+   is only its pid and that copy. *)
 
 type fd_entry =
   | File of { file : Vfs.file; mutable pos : int }
@@ -12,6 +12,8 @@ type fd_entry =
 type exec_event = { ev_sysno : int; ev_args : int64 array; ev_path : string option }
 
 type verdict = Continue | Deny of { context : string; detail : string }
+
+type child = { pid : int; filter : Seccomp.filter option }
 
 type t = {
   machine : Machine.t;
@@ -40,9 +42,9 @@ type t = {
       (** observation hook fired whenever a syscall actually executes
           (i.e. passed every deployed defense); the attack runner uses it
           to detect goal completion *)
-  mutable children : t list;
-      (** processes spawned by fork/clone; each inherits a copy of the
-          parent's seccomp policy and the same monitor (§7.1) *)
+  mutable children : child list;
+      (** processes spawned by fork/clone, newest first; each inherits a
+          copy of the parent's seccomp policy (§7.1) *)
 }
 
 let create (machine : Machine.t) =
@@ -69,15 +71,14 @@ let create (machine : Machine.t) =
     children = [];
   }
 
-(** Spawn a child at fork/clone time: same address-space image, a
-    *copy* of the seccomp policy (the kernel duplicates the filter into
-    the child) and the same tracer, per §7.1. *)
-let spawn_child (parent : t) : t =
+(** Spawn a child at fork/clone time: the next pid and a *copy* of the
+    seccomp policy (the kernel duplicates the filter into the child,
+    §7.1).  Children are never scheduled, so nothing else is built. *)
+let spawn_child (parent : t) : child =
   parent.next_pid <- parent.next_pid + 1;
-  let child = create parent.machine in
-  child.next_pid <- parent.next_pid;
-  child.filter <- Option.map Seccomp.copy parent.filter;
-  child.tracer_hook <- parent.tracer_hook;
+  let child =
+    { pid = parent.next_pid; filter = Option.map Seccomp.copy parent.filter }
+  in
   parent.children <- child :: parent.children;
   child
 

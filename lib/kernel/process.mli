@@ -1,7 +1,8 @@
 (** A process: a machine image plus kernel-side state — file
     descriptors, seccomp policy, attached tracer, accounting.  Worker
-    processes spawned by clone/fork share the parent's policy (§7.1);
-    the simulation runs all workers in one image and counts the clones. *)
+    processes spawned by clone/fork inherit a copy of the parent's
+    policy (§7.1); the simulation runs all workers in one image and
+    keeps each child's pid and policy copy. *)
 
 type fd_entry =
   | File of { file : Vfs.file; mutable pos : int }
@@ -13,6 +14,10 @@ type exec_event = { ev_sysno : int; ev_args : int64 array; ev_path : string opti
 
 (** A tracer's decision at a TRACE stop. *)
 type verdict = Continue | Deny of { context : string; detail : string }
+
+(** A fork/clone child.  Children are never scheduled: a child is its
+    pid and its copy of the parent's seccomp filter. *)
+type child = { pid : int; filter : Seccomp.filter option }
 
 type t = {
   machine : Machine.t;
@@ -38,15 +43,16 @@ type t = {
   mutable on_syscall_executed :
     (sysno:int -> args:int64 array -> path:string option -> unit) option;
       (** observation hook fired when a syscall actually executes *)
-  mutable children : t list;
-      (** processes spawned by fork/clone (policy inheritance, §7.1) *)
+  mutable children : child list;
+      (** processes spawned by fork/clone, newest first (policy
+          inheritance, §7.1) *)
 }
 
 val create : Machine.t -> t
 
-(** Spawn a fork/clone child: a copy of the parent's seccomp policy and
-    the same tracer hook (§7.1). *)
-val spawn_child : t -> t
+(** Spawn a fork/clone child: the next pid and an isolated copy of the
+    parent's seccomp filter (§7.1). *)
+val spawn_child : t -> child
 
 val alloc_fd : t -> fd_entry -> int
 val close_fd : t -> int -> unit

@@ -25,18 +25,70 @@ let heap_base = 0x0070_0000L
 let shadow_base = 0x2000_0000L
 let stack_base = 0x7fff_0000L
 
-type block_code = {
+(* Decoded code.  Names resolve once, when a function is first
+   entered: a local to its slot offset, a global to its address, a
+   function to its entry or code record, a struct field to its word
+   offset, an element type to its size.  A name that does not resolve
+   decodes to the exception the name lookup raised, raised only when
+   the instruction executes, after the operands evaluated before it. *)
+
+type cstr = { text : string; mutable at : int64 }
+
+type operand =
+  | Imm of int64
+  | Slot of int
+  | Word of int64
+  | Str of cstr
+  | Fail of exn
+
+type place =
+  | Pslot of int
+  | Pword of int64
+  | Pfield of operand * int
+  | Pindex of operand * operand * int
+  | Pderef of operand
+  | Pfail of operand list * exn
+
+type rvalue =
+  | Use of operand
+  | Load of place
+  | Addr_of of place
+  | Binop of Sil.Instr.binop * operand * operand
+
+type instr =
+  | Set of place * rvalue
+  | Call of call
+
+and call = {
+  dst : place option;
+  ret_var : Sil.Operand.var option;
+  target : target;
+  args : operand array;
+}
+
+and target = Direct of func_code | Indirect of operand | Unknown of exn
+
+and term =
+  | Jump of string
+  | Branch of operand * string * string
+  | Ret of operand
+  | Halt
+
+and block_code = {
   block : Sil.Func.block;
   addrs : int64 array;
   succs : int array;
+  mutable dinstrs : instr array;
+  mutable dterm : term;
 }
 
-type func_code = {
+and func_code = {
   func : Sil.Func.t;
   entry : int64;
   frame_words : int;
   var_offsets : int array;
   blocks : block_code array;
+  mutable decoded : bool;
 }
 
 type code_ref = { rfunc : func_code; rblock : block_code; rindex : int; rpoint : code_point }
@@ -77,7 +129,7 @@ let func_code structs (f : Sil.Func.t) base =
              | Branch (_, l1, l2) -> [| block_index f.blocks l1; block_index f.blocks l2 |]
              | Ret _ | Halt -> [||]
            in
-           { block = b; addrs; succs })
+           { block = b; addrs; succs; dinstrs = [||]; dterm = Halt })
          f.blocks)
   in
   let vars = Sil.Func.all_vars f in
@@ -89,7 +141,7 @@ let func_code structs (f : Sil.Func.t) base =
       if v.vid >= 0 then var_offsets.(v.vid) <- !off;
       off := !off + max 1 (Sil.Types.size_words structs ty))
     vars;
-  ({ func = f; entry = base; frame_words = !off; var_offsets; blocks }, !next)
+  ({ func = f; entry = base; frame_words = !off; var_offsets; blocks; decoded = false }, !next)
 
 let build (prog : Sil.Prog.t) : t =
   (* Code addresses: functions in deterministic order. *)
@@ -218,10 +270,91 @@ let intern_string t (mem : Memory.t) s =
 
 let slot fc vid = if vid >= 0 && vid < Array.length fc.var_offsets then fc.var_offsets.(vid) else -1
 
+let no_var fname vid =
+  Invalid_argument (Printf.sprintf "Layout.var_offset: %s has no var #%d" fname vid)
+
 let var_offset t fname vid =
   let o = slot (find_code "Layout.var_offset" t fname) vid in
-  if o < 0 then
-    invalid_arg (Printf.sprintf "Layout.var_offset: %s has no var #%d" fname vid);
+  if o < 0 then raise (no_var fname vid);
   o
 
 let frame_words t fname = (find_code "Layout.frame_words" t fname).frame_words
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+
+(* A name resolves as the public lookups resolve it; one that does not
+   decodes to the exception they raise. *)
+let lookup f x = match f x with v -> Ok v | exception (Invalid_argument _ as e) -> Error e
+
+let var_slot fc (v : Sil.Operand.var) =
+  let o = slot fc v.vid in
+  if o >= 0 then Ok o else Error (no_var fc.func.fname v.vid)
+
+let decode_operand t fc : Sil.Operand.t -> operand = function
+  | Const n -> Imm n
+  | Null -> Imm 0L
+  | Cstr s -> Str { text = s; at = 0L }
+  | Var v -> ( match var_slot fc v with Ok o -> Slot o | Error e -> Fail e)
+  | Global g -> ( match lookup (global_addr t) g with Ok a -> Word a | Error e -> Fail e)
+  | Func_addr fn -> ( match lookup (func_entry t) fn with Ok a -> Imm a | Error e -> Fail e)
+
+let decode_place t fc : Sil.Place.t -> place =
+  let op = decode_operand t fc in
+  function
+  | Lvar v -> ( match var_slot fc v with Ok o -> Pslot o | Error e -> Pfail ([], e))
+  | Lglobal g -> ( match lookup (global_addr t) g with Ok a -> Pword a | Error e -> Pfail ([], e))
+  | Lfield (base, sname, field) -> (
+    let base = op base in
+    match lookup (Sil.Types.field_offset t.prog.structs sname) field with
+    | Ok off -> Pfield (base, off)
+    | Error e -> Pfail ([ base ], e))
+  | Lindex (base, index, elem_ty) -> (
+    let base = op base and index = op index in
+    match lookup (Sil.Types.size_words t.prog.structs) elem_ty with
+    | Ok words -> Pindex (base, index, max 1 words)
+    | Error e -> Pfail ([ base; index ], e))
+  | Lderef p -> Pderef (op p)
+
+let decode_instr t fc : Sil.Instr.t -> instr =
+  let op = decode_operand t fc and place = decode_place t fc in
+  function
+  | Assign (v, rv) ->
+    let rv : rvalue =
+      match rv with
+      | Use a -> Use (op a)
+      | Load p -> Load (place p)
+      | Addr_of p -> Addr_of (place p)
+      | Binop (o, a, b) -> Binop (o, op a, op b)
+    in
+    Set (place (Lvar v), rv)
+  | Store (p, a) -> Set (place p, Use (op a))
+  | Call { dst; target; args } ->
+    let target =
+      match target with
+      | Indirect a -> Indirect (op a)
+      | Direct fn -> ( match lookup (code t) fn with Ok c -> Direct c | Error e -> Unknown e)
+    in
+    Call
+      {
+        dst = Option.map (fun v -> place (Lvar v)) dst;
+        ret_var = dst;
+        target;
+        args = Array.of_list (List.map op args);
+      }
+
+let decode t fc =
+  if not fc.decoded then begin
+    let op = decode_operand t fc in
+    Array.iter
+      (fun bc ->
+        bc.dinstrs <- Array.map (decode_instr t fc) bc.block.instrs;
+        bc.dterm <-
+          (match bc.block.term with
+          | Jump l -> Jump l
+          | Branch (c, l1, l2) -> Branch (op c, l1, l2)
+          | Ret r -> Ret (match r with Some r -> op r | None -> Imm 0L)
+          | Halt -> Halt))
+      fc.blocks;
+    fc.decoded <- true
+  end

@@ -24,18 +24,82 @@ val shadow_base : int64
 
 val stack_base : int64
 
+(** {2 Decoded code}
+
+    What an interpreter step executes.  {!decode} resolves every name
+    of a function once: a local to its slot offset, a global to its
+    word address, a function to its entry address or code record, a
+    struct field to its word offset and an element type to its size.
+    A name that does not resolve decodes to the [Invalid_argument] its
+    lookup raises, raised when the instruction executes, after the
+    operands evaluated before it. *)
+
+(** A string literal, interned in rodata at its first evaluation
+    ([at] is [0L] until then), so the interning order is the order of
+    execution. *)
+type cstr = { text : string; mutable at : int64 }
+
+type operand =
+  | Imm of int64  (** [Const], [Null] ([0L]) and a [Func_addr]'s entry *)
+  | Slot of int  (** a local: its slot offset in words from the frame base *)
+  | Word of int64  (** a scalar global: the word at this address *)
+  | Str of cstr
+  | Fail of exn  (** raised when evaluated *)
+
+type place =
+  | Pslot of int
+  | Pword of int64
+  | Pfield of operand * int  (** base, field offset in words *)
+  | Pindex of operand * operand * int  (** base, index, element size in words *)
+  | Pderef of operand
+  | Pfail of operand list * exn  (** evaluate these in order, then raise *)
+
+type rvalue =
+  | Use of operand
+  | Load of place
+  | Addr_of of place
+  | Binop of Sil.Instr.binop * operand * operand
+
+type instr =
+  | Set of place * rvalue
+      (** an [Assign] (to a [Pslot]) or a [Store]; the value is
+          evaluated before the place *)
+  | Call of call
+
+and call = {
+  dst : place option;  (** where a syscall or intrinsic result goes *)
+  ret_var : Sil.Operand.var option;
+      (** the variable a returning callee delivers into, resolved in
+          the caller's function at return time *)
+  target : target;
+  args : operand array;
+}
+
+and target =
+  | Direct of func_code
+  | Indirect of operand
+  | Unknown of exn  (** a direct callee that does not exist *)
+
+and term =
+  | Jump of string
+  | Branch of operand * string * string
+  | Ret of operand  (** [Imm 0L] for a bare return *)
+  | Halt
+
 (** A block with its code addresses. *)
-type block_code = {
+and block_code = {
   block : Sil.Func.block;
   addrs : int64 array;
       (** one address per instruction, then the terminator's (last) *)
   succs : int array;
       (** indices in [func_code.blocks] of the [Jump] target, or of the
           [Branch] targets in order; [-1] for a label the function lacks *)
+  mutable dinstrs : instr array;  (** [block.instrs] decoded *)
+  mutable dterm : term;  (** [block.term] decoded *)
 }
 
 (** A function as the machine executes it. *)
-type func_code = {
+and func_code = {
   func : Sil.Func.t;
   entry : int64;
   frame_words : int;  (** frame size in words (params + locals) *)
@@ -43,6 +107,8 @@ type func_code = {
       (** slot offset in words from the frame base, indexed by [vid];
           [-1] where the function has no such variable *)
   blocks : block_code array;  (** layout order; the entry block first *)
+  mutable decoded : bool;
+      (** whether [dinstrs] and [dterm] of every block are filled in *)
 }
 
 (** The position of a code address. [rindex] equals the block's
@@ -60,6 +126,10 @@ type t = {
 }
 
 val build : Sil.Prog.t -> t
+
+(** Decode a function's blocks, once; a function must be decoded before
+    a frame executes it. *)
+val decode : t -> func_code -> unit
 
 (** @raise Invalid_argument for unknown functions. *)
 val code : t -> string -> func_code
@@ -92,8 +162,12 @@ val global_words : t -> string -> int
 (** Intern a string literal in rodata (idempotent per content). *)
 val intern_string : t -> Memory.t -> string -> int64
 
-(** Word offset of a variable slot from its frame base. *)
+(** Word offset of a variable slot from its frame base.
+    @raise Invalid_argument [no_var fname vid] if the function has none. *)
 val var_offset : t -> string -> int -> int
+
+(** The exception for a vid a function lacks. *)
+val no_var : string -> int -> exn
 
 (** Frame size in words (locals + params). *)
 val frame_words : t -> string -> int

@@ -150,57 +150,132 @@ let create ?(config = default_config) (prog : Sil.Prog.t) : t =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Address computation                                                 *)
+(* Hot helpers                                                         *)
+
+(* The interpreter's word accesses and binop evaluation live here and
+   are inlined into each step: with the -opaque separate compilation of
+   dev builds nothing is inlined across modules, and a call into
+   [Memory] or [Sil.Instr] boxes its int64 arguments and result.  Inlined,
+   addresses and intermediate values stay unboxed; a word is boxed once,
+   when a computed value is stored.  The page geometry and the page
+   cache are Memory's (memory.mli); anything but an aligned access to
+   the cached page goes through it. *)
+
+let[@inline] page_no addr = Int64.to_int (Int64.shift_right_logical addr 12)
+let[@inline] cell addr = (Int64.to_int addr lsr 3) land (Memory.page_words - 1)
+
+let[@inline] page (m : Memory.t) pno =
+  let p = m.last in
+  if p.pno = pno then p else Memory.find m pno
+
+let[@inline] load (t : t) addr =
+  if Int64.to_int addr land 7 = 0 then
+    Array.unsafe_get (page t.mem (page_no addr)).cells (cell addr)
+  else Memory.read t.mem addr
+
+(* Overwriting a mapped word with a non-zero one (most stores) leaves
+   the mapped count alone and is done here. *)
+let[@inline] store (t : t) addr v =
+  if Int64.to_int addr land 7 = 0 then begin
+    let pno = page_no addr and i = cell addr in
+    let cells = (page t.mem pno).cells in
+    if (not (Int64.equal v 0L)) && not (Int64.equal (Array.unsafe_get cells i) 0L) then
+      Array.unsafe_set cells i v
+    else
+      (* The literal is a static box: storing zero allocates nothing. *)
+      Memory.set t.mem pno i (if Int64.equal v 0L then 0L else v)
+  end
+  else Memory.write t.mem addr v
+
+(* [addr + 8*words], as [Memory.addr_add]. *)
+let[@inline] offset addr words = Int64.add addr (Int64.mul 8L (Int64.of_int words))
+
+(* Sil.Instr.eval_binop, which stays the reference. *)
+let[@inline] binop (op : Sil.Instr.binop) a b =
+  let open Int64 in
+  match op with
+  | Add -> add a b
+  | Sub -> sub a b
+  | Mul -> mul a b
+  | Div -> if equal b 0L then 0L else div a b
+  | And -> logand a b
+  | Or -> logor a b
+  | Xor -> logxor a b
+  | Shl -> shift_left a (to_int b land 63)
+  | Shr -> shift_right_logical a (to_int b land 63)
+  | Eq -> if equal a b then 1L else 0L
+  | Ne -> if equal a b then 0L else 1L
+  | Lt -> if compare a b < 0 then 1L else 0L
+  | Le -> if compare a b <= 0 then 1L else 0L
+  | Gt -> if compare a b > 0 then 1L else 0L
+  | Ge -> if compare a b >= 0 then 1L else 0L
+
+(* ------------------------------------------------------------------ *)
+(* Evaluation                                                          *)
 
 let top_frame (t : t) =
   match t.frames with
   | f :: _ -> f
   | [] -> invalid_arg "Machine.top_frame: no frames"
 
+let bad_var (frame : frame) (v : Sil.Operand.var) = raise (Layout.no_var (frame_func frame) v.vid)
+
 let var_addr (frame : frame) (v : Sil.Operand.var) =
   let off = Layout.slot frame.fcode v.vid in
-  if off < 0 then
-    invalid_arg
-      (Printf.sprintf "Layout.var_offset: %s has no var #%d" (frame_func frame) v.vid);
-  Memory.addr_add frame.frame_base off
+  if off < 0 then bad_var frame v;
+  offset frame.frame_base off
 
-(* ------------------------------------------------------------------ *)
-(* Evaluation                                                          *)
+(* A string literal's rodata address, interned at its first evaluation. *)
+let intern (t : t) (c : Layout.cstr) =
+  if Int64.equal c.at 0L then c.at <- Layout.intern_string t.layout t.mem c.text;
+  c.at
 
-let eval (t : t) (frame : frame) (op : Sil.Operand.t) : int64 =
+let[@inline] eval (t : t) (frame : frame) (op : Layout.operand) : int64 =
   match op with
-  | Const n -> n
-  | Cstr s -> Layout.intern_string t.layout t.mem s
-  | Var v -> Memory.read t.mem (var_addr frame v)
-  | Global g -> Memory.read t.mem (Layout.global_addr t.layout g)
-  | Func_addr f -> Layout.func_entry t.layout f
-  | Null -> 0L
+  | Imm n -> n
+  | Slot off -> load t (offset frame.frame_base off)
+  | Word a -> load t a
+  | Str c -> intern t c
+  | Fail e -> raise e
 
-let place_addr (t : t) (frame : frame) (p : Sil.Place.t) : int64 =
+let eval_all (t : t) (frame : frame) ops = List.iter (fun op -> ignore (eval t frame op)) ops
+
+(* Every arm computes its address with [offset] (a global's and a
+   pointer's at offset 0), so the match is an unboxed int64 that does
+   not box on its way into [load] or [store]. *)
+let[@inline] place_addr (t : t) (frame : frame) (p : Layout.place) : int64 =
   match p with
-  | Lvar v -> var_addr frame v
-  | Lglobal g -> Layout.global_addr t.layout g
-  | Lfield (base, sname, field) ->
-    let b = eval t frame base in
-    Memory.addr_add b (Sil.Types.field_offset t.prog.structs sname field)
-  | Lindex (base, index, elem_ty) ->
+  | Pslot off -> offset frame.frame_base off
+  | Pword a -> offset a 0
+  | Pfield (base, off) -> offset (eval t frame base) off
+  | Pindex (base, index, size) ->
     let b = eval t frame base in
     let i = Int64.to_int (eval t frame index) in
-    Memory.addr_add b (i * max 1 (Sil.Types.size_words t.prog.structs elem_ty))
-  | Lderef p -> eval t frame p
+    offset b (i * size)
+  | Pderef p -> offset (eval t frame p) 0
+  | Pfail (ops, e) ->
+    eval_all t frame ops;
+    raise e
 
-let eval_rvalue (t : t) (frame : frame) (rv : Sil.Instr.rvalue) : int64 =
+(* A binop evaluates its right operand first, as the reference
+   interpreter did (OCaml evaluates application arguments right to
+   left), so literals intern in the same order. *)
+let[@inline] eval_rvalue (t : t) (frame : frame) (rv : Layout.rvalue) : int64 =
   match rv with
   | Use op -> eval t frame op
-  | Load p -> Memory.read t.mem (place_addr t frame p)
+  | Load p -> load t (place_addr t frame p)
   | Addr_of p -> place_addr t frame p
-  | Binop (op, a, b) -> Sil.Instr.eval_binop op (eval t frame a) (eval t frame b)
+  | Binop (op, a, b) ->
+    let b = eval t frame b in
+    let a = eval t frame a in
+    binop op a b
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
 
 (* Allocate [code]'s frame below [t.sp] and make it the innermost. *)
 let enter (t : t) (code : Layout.func_code) ~ret_slot ~dst =
+  Layout.decode t.layout code;
   t.sp <- Int64.sub t.sp (Int64.of_int (8 * code.frame_words));
   let frame =
     {
@@ -221,7 +296,7 @@ let push_frame (t : t) ~(callee : Layout.func_code) ~(args : int64 array)
     ~(ret_token : int64) ~(dst : Sil.Operand.var option) =
   t.sp <- Int64.sub t.sp 8L;
   let ret_slot = t.sp in
-  Memory.write t.mem ret_slot ret_token;
+  store t ret_slot ret_token;
   (* The CET push rides the call micro-ops for free; only the
      return-side compare costs a cycle. *)
   if t.config.cet then Cet.Shadow_stack.push t.shadow_stack ret_token;
@@ -229,7 +304,9 @@ let push_frame (t : t) ~(callee : Layout.func_code) ~(args : int64 array)
   (* Copy arguments into parameter slots. *)
   let rec copy i = function
     | ((v : Sil.Operand.var), _) :: rest when i < Array.length args ->
-      Memory.write t.mem (var_addr frame v) args.(i);
+      let off = Layout.slot callee v.vid in
+      if off < 0 then bad_var frame v;
+      store t (offset frame.frame_base off) args.(i);
       copy (i + 1) rest
     | _ -> ()
   in
@@ -244,7 +321,7 @@ let pop_frame (t : t) (ret_val : int64) =
     t.stats.rets <- t.stats.rets + 1;
     charge t t.config.cost.ret;
     if Int64.equal frame.ret_slot 0L then raise (Program_exit ret_val);
-    let token = Memory.read t.mem frame.ret_slot in
+    let token = load t frame.ret_slot in
     if t.config.cet then begin
       charge t t.config.cost.cet_op;
       Cet.Shadow_stack.pop_check t.shadow_stack ~actual:token
@@ -256,7 +333,7 @@ let pop_frame (t : t) (ret_val : int64) =
       (* Deliver the return value into the caller's current function,
          before any pivot below; skip a vid that function lacks. *)
       let off = Layout.slot caller.fcode v.vid in
-      if off >= 0 then Memory.write t.mem (Memory.addr_add caller.frame_base off) ret_val
+      if off >= 0 then store t (offset caller.frame_base off) ret_val
     | _ -> ());
     (* Transfer control to the (possibly corrupted) return token.  A
        token pointing into another function models a ROP pivot: the
@@ -265,6 +342,7 @@ let pop_frame (t : t) (ret_val : int64) =
     | Some r -> (
       match rest with
       | caller :: _ ->
+        Layout.decode t.layout r.rfunc;
         caller.fcode <- r.rfunc;
         caller.fblock <- r.rblock;
         caller.findex <- r.rindex
@@ -295,23 +373,24 @@ let run_intrinsic (t : t) name (args : int64 array) : int64 =
 (* The interpreter                                                     *)
 
 (* Evaluate call arguments left to right (interning order matters). *)
-let eval_args (t : t) (frame : frame) (args : Sil.Operand.t list) =
-  match args with
-  | [] -> [||]
-  | _ ->
-    let argv = Array.make (List.length args) 0L in
-    let rec fill i = function
-      | [] -> ()
-      | a :: rest ->
-        argv.(i) <- eval t frame a;
-        fill (i + 1) rest
-    in
-    fill 0 args;
+let eval_args (t : t) (frame : frame) (args : Layout.operand array) =
+  let n = Array.length args in
+  if n = 0 then [||]
+  else begin
+    let argv = Array.make n 0L in
+    for i = 0 to n - 1 do
+      argv.(i) <- eval t frame args.(i)
+    done;
     argv
+  end
 
-let exec_call (t : t) (frame : frame) ~dst ~(target : Sil.Instr.call_target)
-    ~(args : Sil.Operand.t list) =
-  let argv = eval_args t frame args in
+(* Deliver a syscall's or intrinsic's result and step past the call. *)
+let finish_call (t : t) (frame : frame) (dst : Layout.place option) result =
+  (match dst with Some p -> store t (place_addr t frame p) result | None -> ());
+  frame.findex <- frame.findex + 1
+
+let exec_call (t : t) (frame : frame) (c : Layout.call) =
+  let argv = eval_args t frame c.args in
   let callsite_addr = frame.fblock.addrs.(frame.findex) in
   t.abi_regs <- argv;
   t.trap_rip <- callsite_addr;
@@ -319,8 +398,9 @@ let exec_call (t : t) (frame : frame) ~dst ~(target : Sil.Instr.call_target)
   frame.in_flight_callsite <- callsite_addr;
   t.stats.calls <- t.stats.calls + 1;
   let callee =
-    match target with
-    | Direct f -> Layout.code t.layout f
+    match c.target with
+    | Direct code -> code
+    | Unknown e -> raise e
     | Indirect op ->
       t.stats.indirect_calls <- t.stats.indirect_calls + 1;
       let addr = eval t frame op in
@@ -348,13 +428,10 @@ let exec_call (t : t) (frame : frame) ~dst ~(target : Sil.Instr.call_target)
       | Some h -> h t ~sysno ~args:argv
       | None -> 0L
     in
-    (match dst with Some v -> Memory.write t.mem (var_addr frame v) result | None -> ());
-    frame.findex <- frame.findex + 1
+    finish_call t frame c.dst result
   | Intrinsic name ->
     charge t t.config.cost.intrinsic;
-    let result = run_intrinsic t name argv in
-    (match dst with Some v -> Memory.write t.mem (var_addr frame v) result | None -> ());
-    frame.findex <- frame.findex + 1
+    finish_call t frame c.dst (run_intrinsic t name argv)
   | App_code ->
     (* The return token is the address after the call: the next
        instruction, or the block's terminator.  Advance the caller past
@@ -362,7 +439,7 @@ let exec_call (t : t) (frame : frame) ~dst ~(target : Sil.Instr.call_target)
        is re-entered recursively. *)
     let token = frame.fblock.addrs.(frame.findex + 1) in
     frame.findex <- frame.findex + 1;
-    push_frame t ~callee ~args:argv ~ret_token:token ~dst
+    push_frame t ~callee ~args:argv ~ret_token:token ~dst:c.ret_var
 
 (* Move [frame] to the [k]th block of its function. *)
 let goto (frame : frame) k label =
@@ -371,7 +448,7 @@ let goto (frame : frame) k label =
   frame.fblock <- frame.fcode.blocks.(k);
   frame.findex <- 0
 
-let exec_terminator (t : t) (frame : frame) (term : Sil.Instr.terminator) =
+let exec_terminator (t : t) (frame : frame) (term : Layout.term) =
   match term with
   | Jump l -> goto frame frame.fblock.succs.(0) l
   | Branch (cond, l1, l2) ->
@@ -379,29 +456,26 @@ let exec_terminator (t : t) (frame : frame) (term : Sil.Instr.terminator) =
     charge t t.config.cost.instr;
     if not (Int64.equal c 0L) then goto frame frame.fblock.succs.(0) l1
     else goto frame frame.fblock.succs.(1) l2
-  | Ret op ->
-    let v = match op with Some op -> eval t frame op | None -> 0L in
-    pop_frame t v
+  | Ret op -> pop_frame t (eval t frame op)
   | Halt -> raise (Program_exit 0L)
 
+(* The value of a [Set] is evaluated before its place, as the
+   reference interpreter did. *)
 let step (t : t) =
   let frame = top_frame t in
-  let instrs = frame.fblock.block.instrs in
+  let bc = frame.fblock in
   let i = frame.findex in
-  if i >= Array.length instrs then exec_terminator t frame frame.fblock.block.term
+  if i >= Array.length bc.dinstrs then exec_terminator t frame bc.dterm
   else begin
     (match t.on_instr with Some h -> h t (frame_loc frame) | None -> ());
     t.stats.instrs <- t.stats.instrs + 1;
-    match instrs.(i) with
-    | Assign (v, rv) ->
+    match Array.unsafe_get bc.dinstrs i with
+    | Set (p, rv) ->
       charge t t.config.cost.instr;
-      Memory.write t.mem (var_addr frame v) (eval_rvalue t frame rv);
+      let v = eval_rvalue t frame rv in
+      store t (place_addr t frame p) v;
       frame.findex <- i + 1
-    | Store (p, op) ->
-      charge t t.config.cost.instr;
-      Memory.write t.mem (place_addr t frame p) (eval t frame op);
-      frame.findex <- i + 1
-    | Call { dst; target; args } -> exec_call t frame ~dst ~target ~args
+    | Call c -> exec_call t frame c
   end
 
 (** Run the program from its entry point to completion. *)

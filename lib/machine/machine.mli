@@ -13,7 +13,7 @@
     - invoking a syscall stub enters the kernel handler installed by the
       embedder — seccomp, tracing and the monitor live behind it. *)
 
-module Memory = Memory
+module Memory : Memory.S with type t = Memory.t
 module Layout = Layout
 module Cost = Cost
 
@@ -100,6 +100,10 @@ val charge : t -> int -> unit
 val create : ?config:config -> Sil.Prog.t -> t
 
 exception Program_exit of int64
+
+(** The machine's evaluation of a binary operator.  It equals
+    {!Sil.Instr.eval_binop}, which stays the reference. *)
+val binop : Sil.Instr.binop -> int64 -> int64 -> int64
 
 (** Bump-allocate heap words (mmap/malloc substrate). *)
 val alloc_heap : t -> int -> int64

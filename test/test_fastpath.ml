@@ -337,6 +337,39 @@ let test_kernel_alloc_gate () =
   if per_syscall > bound then
     Alcotest.failf "kernel allocates %.2f words per syscall (bound %.2f)" per_syscall bound
 
+(* Minor-heap words the interpreter allocates per instruction on the
+   small NGINX session of the kernel gate: everything [Machine.run]
+   allocates minus its syscall and intrinsic hooks (the kernel, monitor
+   and runtime, which perfbench attributes to their own layers).
+   Hashing a boxed address per memory access and boxing every address
+   and intermediate value cost 12.82 words per instruction here; the
+   paged memory and the decoded operands brought that to 7.37, of which
+   2.6 are decoding each function once at its first entry (a large
+   share in a session this short).  The gate allows 1.25x the 7.37. *)
+let machine_words_per_instr () =
+  let pr =
+    D.prepare ~prefilter:Kernel.Seccomp.Flow_tiered
+      (D.nginx ~params:Workloads.Nginx_model.small ())
+      D.Bastion_full
+  in
+  let m = pr.pr_machine and hooks = Testlib.meter () in
+  (match (m.on_syscall, m.on_intrinsic) with
+  | Some on_syscall, Some on_intrinsic ->
+    m.on_syscall <- Some (Testlib.meter_hook hooks on_syscall);
+    m.on_intrinsic <- Some (Testlib.meter_intrinsic hooks on_intrinsic)
+  | _ -> Alcotest.fail "a protected session has a syscall and an intrinsic handler");
+  let w0 = Testlib.minor_words () in
+  Testlib.check_exit (Machine.run m);
+  let words = Testlib.minor_words () - w0 - hooks.words in
+  (m.stats.instrs, float_of_int words /. float_of_int m.stats.instrs)
+
+let test_machine_alloc_gate () =
+  let instrs, per_instr = machine_words_per_instr () in
+  Alcotest.(check int) "instructions in the small session" 3898 instrs;
+  let bound = 1.25 *. 7.37 in
+  if per_instr > bound then
+    Alcotest.failf "machine allocates %.2f words per instruction (bound %.2f)" per_instr bound
+
 let suites =
   [
     ( "fastpath-cache",
@@ -355,6 +388,7 @@ let suites =
           test_table6_invariant_under_cache;
         Alcotest.test_case "monitor allocation per trap" `Quick test_monitor_alloc_gate;
         Alcotest.test_case "kernel allocation per syscall" `Quick test_kernel_alloc_gate;
+        Alcotest.test_case "machine allocation per instruction" `Quick test_machine_alloc_gate;
       ] );
     ( "fastpath-json",
       [

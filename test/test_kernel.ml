@@ -310,7 +310,7 @@ let test_policy_inheritance () =
   Testlib.check_exit (Machine.run machine);
   Alcotest.(check int) "two children" 2 (List.length proc.children);
   List.iter
-    (fun (child : Kernel.Process.t) ->
+    (fun (child : Kernel.Process.child) ->
       match child.filter with
       | Some cf ->
         Alcotest.(check bool) "child inherits KILL rule" true
@@ -320,7 +320,7 @@ let test_policy_inheritance () =
   (* Copies are isolated: tightening the parent later does not leak. *)
   Kernel.Seccomp.set_rule f (Kernel.Syscalls.number "mmap") Kernel.Seccomp.Kill;
   List.iter
-    (fun (child : Kernel.Process.t) ->
+    (fun (child : Kernel.Process.child) ->
       match child.filter with
       | Some cf ->
         Alcotest.(check bool) "child filter isolated" true
@@ -573,6 +573,33 @@ let test_lseek_negative_offset () =
   Alcotest.(check int64) "position unchanged: the whole file, no more" 10L
     (Machine.peek machine (Machine.global_address machine "g_n"))
 
+(* sendfile sends only from an open file, and only the words left in
+   it: an unopened in_fd used to report, count and charge all of
+   [count]. *)
+let test_sendfile_in_fd () =
+  let pr =
+    Workloads.Drivers.prepare
+      (Workloads.Drivers.nginx ~params:Workloads.Nginx_model.small ())
+      Workloads.Drivers.Vanilla
+  in
+  let proc = pr.pr_process and machine = pr.pr_machine in
+  let sendfile in_fd =
+    Kernel.execute proc ~sysno:(Sc.number "sendfile") ~args:[| 1L; in_fd; 0L; 50L |]
+  in
+  let cycles0 = machine.stats.cycles in
+  Alcotest.(check int64) "in_fd not open" (-1L) (sendfile 9999L);
+  Alcotest.(check int) "nothing sent" 0 proc.io_words_out;
+  Alcotest.(check int) "nothing charged" cycles0 machine.stats.cycles;
+  Kernel.Vfs.add_file proc.vfs "/short" ~size_words:10;
+  let file = Option.get (Kernel.Vfs.lookup proc.vfs "/short") in
+  let fd = Int64.of_int (Kernel.Process.alloc_fd proc (File { file; pos = 4 })) in
+  Alcotest.(check int64) "what remains" 6L (sendfile fd);
+  Alcotest.(check int) "six words sent" 6 proc.io_words_out;
+  Alcotest.(check int) "six words charged"
+    (6 * machine.config.cost.io_per_word) (machine.stats.cycles - cycles0);
+  Alcotest.(check int64) "then nothing" 0L (sendfile fd);
+  Alcotest.(check int) "still six words" 6 proc.io_words_out
+
 let suites =
   match suites with
   | [ (name, cases) ] ->
@@ -591,6 +618,7 @@ let suites =
               test_conn_read_negative_count;
             Alcotest.test_case "lseek rejects a negative offset" `Quick
               test_lseek_negative_offset;
+            Alcotest.test_case "sendfile needs an open in_fd" `Quick test_sendfile_in_fd;
           ] );
     ]
   | other -> other

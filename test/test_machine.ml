@@ -368,6 +368,47 @@ let test_cost_accounting () =
   Alcotest.(check bool) "cycles counted" true (run_cycles 8 > 0);
   Alcotest.(check int) "io cost irrelevant without io" (run_cycles 8) (run_cycles 80)
 
+(* A name that does not resolve is decoded, not rejected: the program
+   loads and runs while the instruction naming it is not executed, and
+   executing it raises the lookup's [Invalid_argument]. *)
+let test_unresolved_names_raise_when_executed () =
+  let x = { vid = 0; vname = "x" } in
+  let program taken (bad : Sil.Instr.t) : Sil.Prog.t =
+    let block label instrs term : Sil.Func.block =
+      { label; instrs = Array.of_list instrs; term }
+    in
+    let main : Sil.Func.t =
+      {
+        fname = "main";
+        params = [];
+        locals = [ (x, i64) ];
+        kind = App_code;
+        blocks =
+          [
+            block "entry" [] (Branch (Const taken, "bad", "ok"));
+            block "bad" [ bad ] Halt;
+            block "ok" [] Halt;
+          ];
+      }
+    in
+    let funcs = Hashtbl.create 1 in
+    Hashtbl.replace funcs "main" main;
+    { structs = Sil.Types.struct_env_create (); globals = []; funcs; entry = "main" }
+  in
+  List.iter
+    (fun ((bad : Sil.Instr.t), msg) ->
+      Testlib.check_exit (Machine.run (Machine.create (program 0L bad)));
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Machine.run (Machine.create (program 1L bad)))))
+    [
+      (Assign (x, Use (Global "nope")), "Layout.global_addr: unknown global nope");
+      (Assign (x, Use (Var { vid = 7; vname = "ghost" })), "Layout.var_offset: main has no var #7");
+      (Assign (x, Use (Func_addr "nofn")), "Layout.func_entry: unknown function nofn");
+      (Call { dst = None; target = Direct "nofn"; args = [] }, "Layout.code: unknown function nofn");
+      ( Store (Lfield (Var x, "nostruct", "f"), Const 1L),
+        "Types.find_struct: unknown struct nostruct" );
+    ]
+
 let suites =
   [
     ( "machine",
@@ -387,5 +428,7 @@ let suites =
         Alcotest.test_case "return-token semantics (ROP + CET)" `Quick
           test_ret_token_semantics;
         Alcotest.test_case "cost accounting" `Quick test_cost_accounting;
+        Alcotest.test_case "unresolved names raise when executed" `Quick
+          test_unresolved_names_raise_when_executed;
       ] );
   ]

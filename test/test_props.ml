@@ -277,7 +277,10 @@ let prop_memory_roundtrip =
 (* Memory against the representation it replaced, kept here as the
    oracle: a polymorphic (int64, int64) Hashtbl in which zero means
    unmapped.  Addresses cluster around a few bases so reads hit earlier
-   writes, and cover unaligned offsets, bit 63 and the top word. *)
+   writes.  They cover page boundaries (...ff8 / ...000, also with bit 63
+   set), the unaligned neighbours of aligned words, bit 63, the top word
+   (whose successor wraps to page 0), and far pages that only zero
+   writes reach; blocks and strings span two pages. *)
 type mem_op =
   | Write of int64 * int64
   | Write_string of int64 * string
@@ -287,16 +290,24 @@ type mem_op =
 
 let gen_mem_op =
   let open QCheck.Gen in
+  let near base = map (fun k -> Int64.add base (Int64.of_int k)) (int_range 0 47) in
+  let aligned =
+    oneofl [ 0x1000L; 0x1ff8L; 0x2000L; 0x7ffe_fff8L; 0x8000_0000_0000_0ff8L; Int64.min_int ]
+  in
   let addr =
     frequency
       [
         (1, return 0xFFFF_FFFF_FFFF_FFF8L);
         ( 6,
-          map2 Int64.add
-            (oneofl
-               [ 0x1000L; 0x7ffe_fff0L; Int64.min_int; 0x8000_0000_0000_1000L;
-                 0xFFFF_FFFF_FFFF_FFD0L ])
-            (map Int64.of_int (int_range 0 47)) );
+          oneofl
+            [ 0x1000L; 0x1fd8L; 0x7ffe_fff0L; Int64.min_int; 0x8000_0000_0000_0fe0L;
+              0x8000_0000_0000_1000L; 0xFFFF_FFFF_FFFF_FFD0L ]
+          >>= near );
+        (* the unaligned neighbours of aligned words *)
+        (2, map2 Int64.add aligned (oneofl [ -1L; 1L; 4L; 7L; 9L ]));
+        (1, aligned);
+        (* far pages nothing else maps *)
+        (1, map (fun k -> Int64.of_int (0x5_0000_0000 + (k * 4096))) (int_range 0 3));
       ]
   in
   let word =
@@ -312,9 +323,10 @@ let gen_mem_op =
   frequency
     [
       (5, map2 (fun a v -> Write (a, v)) addr word);
+      (1, map (fun a -> Write (a, 0L)) addr);
       (1, map2 (fun a s -> Write_string (a, s)) addr (string_size ~gen:printable (int_range 0 5)));
       (3, map (fun a -> Read a) addr);
-      (1, map2 (fun a n -> Read_block (a, n)) addr (int_range 0 6));
+      (1, map2 (fun a n -> Read_block (a, n)) addr (int_range 0 8));
       (1, map (fun a -> Read_string a) addr);
     ]
 
@@ -331,8 +343,17 @@ let prop_memory_model =
     (fun ops ->
       let mem = Machine.Memory.create () in
       let model : (int64, int64) Hashtbl.t = Hashtbl.create 16 in
+      (* Pages that ever received a non-zero aligned word: only those map. *)
+      let pages : (int64, unit) Hashtbl.t = Hashtbl.create 16 in
       let mread a = Option.value ~default:0L (Hashtbl.find_opt model a) in
-      let mwrite a v = if Int64.equal v 0L then Hashtbl.remove model a else Hashtbl.replace model a v in
+      let mwrite a v =
+        if Int64.equal v 0L then Hashtbl.remove model a
+        else begin
+          Hashtbl.replace model a v;
+          if Int64.equal (Int64.logand a 7L) 0L then
+            Hashtbl.replace pages (Int64.shift_right_logical a 12) ()
+        end
+      in
       let at a i = Int64.add a (Int64.of_int (8 * i)) in
       let mread_string a =
         let buf = Buffer.create 8 in
@@ -363,7 +384,9 @@ let prop_memory_model =
             | Read_block (a, n) -> Machine.Memory.read_block mem a n = Array.init n (fun i -> mread (at a i))
             | Read_string a -> String.equal (Machine.Memory.read_string mem a) (mread_string a)
           in
-          agrees && Machine.Memory.mapped_words mem = Hashtbl.length model)
+          agrees
+          && Machine.Memory.mapped_words mem = Hashtbl.length model
+          && Machine.Memory.mapped_pages mem = Hashtbl.length pages)
         ops
       && Hashtbl.fold (fun a v acc -> acc && Int64.equal (Machine.Memory.read mem a) v) model true)
 
@@ -401,6 +424,33 @@ let prop_binop_algebra =
       Int64.equal (eval_binop Sub (eval_binop Add a b) b) a
       && Int64.equal (eval_binop Xor (eval_binop Xor a b) b) a
       && Int64.equal (eval_binop Div a 0L) 0L)
+
+(* The machine evaluates binops with its own inlined copy of
+   [Sil.Instr.eval_binop], which stays the reference.  Every operator
+   agrees on every pair drawn from two random words and the edges: a
+   zero divisor, min_int / -1, and shift counts that are negative or at
+   least 64. *)
+let binop_edges =
+  [ 0L; 1L; -1L; 2L; 63L; 64L; 65L; 127L; -63L; -64L; -65L; Int64.min_int;
+    Int64.max_int; Int64.succ Int64.min_int ]
+
+let all_binops =
+  Sil.Instr.[ Add; Sub; Mul; Div; And; Or; Xor; Shl; Shr; Eq; Ne; Lt; Le; Gt; Ge ]
+
+let prop_machine_binop =
+  QCheck.Test.make ~count:200 ~name:"machine binop equals Sil.Instr.eval_binop"
+    QCheck.(pair int64 int64)
+    (fun (a, b) ->
+      let words = a :: b :: binop_edges in
+      List.for_all
+        (fun x ->
+          List.for_all
+            (fun y ->
+              List.for_all
+                (fun op -> Int64.equal (Machine.binop op x y) (Sil.Instr.eval_binop op x y))
+                all_binops)
+            words)
+        words)
 
 (* --- loops execute the right number of times ---------------------------- *)
 
@@ -493,5 +543,6 @@ let suites =
           prop_layout_injective;
           prop_allowlist;
           prop_array_sizes;
+          prop_machine_binop;
         ] );
   ]

@@ -118,5 +118,16 @@ let meter_hook m h =
   in
   metered
 
+(** [meter_intrinsic m h] is [meter_hook] for a machine's
+    [on_intrinsic] hook. *)
+let meter_intrinsic m h =
+  let metered x ~name ~args =
+    let w0 = minor_words () in
+    match h x ~name ~args with
+    | v -> settle m w0; v
+    | exception e -> settle m w0; raise e
+  in
+  metered
+
 (** Words per call of [m]. *)
 let words_per_call m = float_of_int m.words /. float_of_int m.calls

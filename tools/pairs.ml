@@ -6,8 +6,10 @@
    per line, pair i of BASE matching pair i of HEAD.  For every
    end-to-end metric BENCHMARK.json declares, prints each side's median
    and quartiles, the number of pairs HEAD won in the metric's better
-   direction, and the per-pair values.  Exits 1 if a run missed a
-   known answer. *)
+   direction, and the per-pair values.  Then prints in how many pairs
+   the modelled metrics are exactly equal, naming the seeds where they
+   differ (pair i runs seed i).  Exits 1 if a run missed a known
+   answer. *)
 
 module J = Report.Json
 
@@ -58,6 +60,24 @@ let summary xs =
   Array.sort compare a;
   Printf.sprintf "%.6g [%.6g-%.6g]" (quantile a 0.5) (quantile a 0.25) (quantile a 0.75)
 
+(* The modelled clock is deterministic, so a change that leaves it alone
+   reports exactly these values in every pair. *)
+let modelled = [ "modelled_overhead_pct"; "modelled_syscall_cycles.p99" ]
+
+let modelled_report base head =
+  let differ =
+    List.concat
+      (List.mapi
+         (fun i (b, h) ->
+           if List.for_all (fun name -> value b name = value h name) modelled then []
+           else [ string_of_int (i + 1) ])
+         (List.combine base head))
+  in
+  Printf.printf "modelled metrics equal in %d/%d pairs%s\n"
+    (List.length base - List.length differ)
+    (List.length base)
+    (if differ = [] then "" else "; they differ at seed " ^ String.concat ", " differ)
+
 let () =
   match Sys.argv with
   | [| _; bench; base; head |] ->
@@ -89,6 +109,7 @@ let () =
                (List.map (fun (b, h) -> Printf.sprintf "%.6g -> %.6g" b h) pairs))
         end)
       (end_to_end bench);
+    modelled_report base head;
     let bad = List.length (List.filter (fun r -> not (correct r)) (base @ head)) in
     if bad > 0 then begin
       Printf.printf "%d run(s) missed a known answer\n" bad;

@@ -8,7 +8,8 @@
 # both sides, then runs 10 untraced 10-second pairs at seeds 1..10,
 # base first on odd seeds and head first on even ones.  Prints each
 # side's median, quartiles and head's win count per end-to-end metric
-# of BENCHMARK.json, and removes the worktree on exit.  Takes about
+# of BENCHMARK.json and the seeds whose modelled metrics differ, and
+# removes the worktree on exit.  Takes about
 # 20 x (10 s + set-up).  A run that exits non-zero stops the script
 # with that run's stderr.
 set -eu
